@@ -87,11 +87,9 @@ class StreamingFilter:
         self.last_time_ = t_raw
         return t_raw, y
 
-    def run(self, times, measurements) -> np.ndarray:
-        """Fit on the first ``init_window`` samples, then step the rest.
-
-        Returns one prediction per post-window sample.
-        """
+    def _drive(self, times, measurements, step) -> list:
+        """Fit on the first ``init_window`` samples, then return
+        ``step(t, y)`` for each remaining sample, in order."""
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
         n0 = self.init_window
@@ -100,10 +98,14 @@ class StreamingFilter:
                 f"trace shorter than the initialization window ({len(times)} < {n0})"
             )
         self.fit(times[:n0], measurements[:n0])
-        out = np.empty(len(times) - n0)
-        for j in range(n0, len(times)):
-            out[j - n0] = self.step(times[j], measurements[j])
-        return out
+        return [step(times[j], measurements[j]) for j in range(n0, len(times))]
+
+    def run(self, times, measurements) -> np.ndarray:
+        """Fit on the first ``init_window`` samples, then step the rest.
+
+        Returns one prediction per post-window sample.
+        """
+        return np.array(self._drive(times, measurements, self.step), dtype=float)
 
 
 class ForgettingFactorCore(StreamingFilter):

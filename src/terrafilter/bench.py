@@ -6,9 +6,9 @@ import csv
 import hashlib
 import io
 import json
+import os
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -53,7 +53,6 @@ class ExperimentConfig:
     seeds: list
     output_dir: str = "bench_out"
     emit_traces: bool = True
-    workers: int = 1
 
     def validate(self):
         if not self.scenarios or not self.algorithms or not self.seeds:
@@ -70,8 +69,6 @@ class ExperimentConfig:
         for a in self.algorithms:
             if a.kind not in FILTER_KINDS:
                 raise ConfigError(f"unknown algorithm kind {a.kind!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
         return self
 
 
@@ -92,10 +89,15 @@ class RunManifest:
     started: str
     finished: str
     cells: list
+    timing: list = field(default_factory=list)
 
     @property
     def failed(self):
         return [c for c in self.cells if c.status != "ok"]
+
+    @property
+    def timing_failed(self):
+        return [c for c in self.timing if c.status != "ok"]
 
 
 def build_filter(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int):
@@ -193,7 +195,7 @@ def load_config(path) -> ExperimentConfig:
         )
     top = _take(raw, {
         "version": int, "output_dir": str, "emit_traces": bool,
-        "workers": int, "seeds": list, "scenarios": None, "algorithms": None,
+        "seeds": list, "scenarios": None, "algorithms": None,
     }, "config")
     scenarios = [parse_scenario(s) for s in top.get("scenarios", [])]
     algorithms = [_parse_algorithm(a) for a in top.get("algorithms", [])]
@@ -203,7 +205,6 @@ def load_config(path) -> ExperimentConfig:
         seeds=[int(s) for s in top.get("seeds", [])],
         output_dir=top.get("output_dir", "bench_out"),
         emit_traces=top.get("emit_traces", True),
-        workers=top.get("workers", 1),
     )
     return cfg.validate()
 
@@ -224,12 +225,20 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- execution ------------------------------------------------------------
 
 
-def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace):
-    """Run one filter over one trace; returns (report_without_sr, predictions)."""
+def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace,
+             detailed: bool = False):
+    """Run one filter over one trace; returns ``(report_without_sr,
+    predictions, outputs)``. With ``detailed`` (RvmRls only) the single pass
+    also collects every step's ``StepOutput`` in ``outputs``; otherwise
+    ``outputs`` is None."""
     filt = build_filter(spec, scenario, seed)
-    predictions = filt.run(trace.times, trace.measurement)
-    n0 = filt.init_window
-    ref = trace.reference[n0:]
+    if detailed:
+        outputs = filt.run_detailed(trace.times, trace.measurement)
+        predictions = np.array([o.prediction for o in outputs], dtype=float)
+    else:
+        outputs = None
+        predictions = filt.run(trace.times, trace.measurement)
+    ref = trace.reference[filt.init_window:]
     return MetricsReport(
         algorithm=spec.name,
         sr_ms=0.0,
@@ -238,86 +247,130 @@ def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace):
         me=max_error(predictions, ref),
         scenario_id=scenario.name,
         seed=seed,
-    ), predictions
+    ), predictions, outputs
+
+
+def _run_pair(scenario: ScenarioConfig, seed: int, algorithms, out_dir=None):
+    """One pool job: synthesize the (scenario, seed) trace and run every
+    algorithm's cell on it once. With ``out_dir`` set, also write the pair's
+    trace and figure files there. Returns ``[(CellStatus, MetricsReport or
+    None)]`` in algorithm order; a failing cell is recorded without
+    disturbing the others. Traces and predictions stay in the worker."""
+    trace = synthesize(scenario.with_seed(seed))
+    detailed = None
+    if out_dir is not None:
+        detailed = next((a for a in algorithms if a.kind == "rvm_rls"), None)
+    results = []
+    preds = {}
+    outputs = None
+    for spec in algorithms:
+        t0 = time.perf_counter()
+        try:
+            report, preds[spec.name], cell_outputs = run_cell(
+                spec, scenario, seed, trace, detailed=spec is detailed)
+            status = CellStatus(scenario.name, spec.name, seed, "ok")
+        except Exception as exc:  # crash isolation: one bad cell never aborts the run
+            report = None
+            status = CellStatus(scenario.name, spec.name, seed, "error",
+                                error=f"{type(exc).__name__}: {exc}")
+        else:
+            if spec is detailed:
+                outputs = cell_outputs
+        status.duration_ms = (time.perf_counter() - t0) * 1e3
+        results.append((status, report))
+    if out_dir is not None:
+        _emit_trace_files(out_dir, scenario, seed, trace, preds, outputs)
+    return results
+
+
+def _run_pairs(config: ExperimentConfig, out_dir):
+    """Run every (scenario, seed) job on a process pool with one worker per
+    usable CPU; returns {(scenario name, seed): _run_pair's result}. A job
+    lost to a dead worker gets an ``error`` status for each of its cells."""
+    # imported here so that importing the CLI does not pay for multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pairs = [(scenario, seed) for scenario in config.scenarios
+             for seed in config.seeds]
+    # the CPUs this process may run on, so that taskset limits the pool
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    emit_dir = out_dir if config.emit_traces else None
+    results = {}
+    with ProcessPoolExecutor(max_workers=min(cpus, len(pairs))) as pool:
+        futures = [pool.submit(_run_pair, scenario, seed, config.algorithms, emit_dir)
+                   for scenario, seed in pairs]
+        for (scenario, seed), future in zip(pairs, futures):
+            try:
+                results[(scenario.name, seed)] = future.result()
+            except BrokenProcessPool as exc:
+                error = f"{type(exc).__name__}: {exc}"
+                results[(scenario.name, seed)] = [
+                    (CellStatus(scenario.name, spec.name, seed, "error", error=error),
+                     None)
+                    for spec in config.algorithms]
+    return results
 
 
 def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Execute the full matrix and write reports, aggregates, traces,
     figure data, and the manifest into the output directory.
 
-    Metric cells may run on a thread pool; single-step timing always runs
-    serially afterwards, one measurement per (algorithm, scenario), shared
-    by that scenario's seed rows. A failing cell is recorded in the
-    manifest without disturbing the others.
+    Metric cells run on a process pool, one job per (scenario, seed) and
+    one worker per usable CPU (``taskset`` limits them). After the pool has
+    shut down, single-step timing runs serially, one measurement per
+    (algorithm, scenario), shared by that scenario's seed rows. A failing
+    cell or timing measurement is recorded in the manifest without
+    disturbing the others.
     """
     config.validate()
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
+    if config.emit_traces:
+        (out / "traces").mkdir(exist_ok=True)
+        (out / "figs").mkdir(exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    traces = {}
-    for scenario in config.scenarios:
-        for seed in config.seeds:
-            traces[(scenario.name, seed)] = synthesize(scenario.with_seed(seed))
-
-    cells = {}
+    results = _run_pairs(config, out)
     statuses = []
-
-    def _one(scenario, spec, seed):
-        t0 = time.perf_counter()
-        trace = traces[(scenario.name, seed)]
-        try:
-            report, preds = run_cell(spec, scenario, seed, trace)
-            return CellStatus(scenario.name, spec.name, seed, "ok",
-                              duration_ms=(time.perf_counter() - t0) * 1e3), report, preds
-        except Exception as exc:  # crash isolation: one bad cell never aborts the run
-            return CellStatus(scenario.name, spec.name, seed, "error",
-                              error=f"{type(exc).__name__}: {exc}",
-                              duration_ms=(time.perf_counter() - t0) * 1e3), None, None
-
-    jobs = [
-        (scenario, spec, seed)
-        for scenario in config.scenarios
-        for spec in config.algorithms
-        for seed in config.seeds
-    ]
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda args: _one(*args), jobs))
-    else:
-        results = [_one(*args) for args in jobs]
-
-    for (scenario, spec, seed), (status, report, preds) in zip(jobs, results):
-        statuses.append(status)
-        if report is not None:
-            cells[(scenario.name, spec.name, seed)] = (report, preds)
+    cells = {}
+    for scenario in config.scenarios:
+        for i, spec in enumerate(config.algorithms):
+            for seed in config.seeds:
+                status, report = results[(scenario.name, seed)][i]
+                statuses.append(status)
+                if report is not None:
+                    cells[(scenario.name, spec.name, seed)] = report
 
     # Timing: serial, one measurement per (algorithm, scenario), reused for
     # every seed row of that scenario.
     sr = {}
+    timing = []
+    seed = config.seeds[0]
     for scenario in config.scenarios:
-        trace = traces[(scenario.name, config.seeds[0])]
+        trace = synthesize(scenario.with_seed(seed))
         for spec in config.algorithms:
+            t0 = time.perf_counter()
             try:
                 sr[(scenario.name, spec.name)] = time_step(
                     lambda spec=spec, scenario=scenario: build_filter(
-                        spec, scenario, config.seeds[0]),
+                        spec, scenario, seed),
                     trace, timed_steps=TIMED_STEPS,
                 )
-            except Exception:
-                sr[(scenario.name, spec.name)] = float("nan")
-    for key, (report, _) in cells.items():
-        scenario_name, algorithm, _seed = key
+                status = CellStatus(scenario.name, spec.name, seed, "ok")
+            except Exception as exc:  # recorded; the row's sr_ms becomes NaN
+                status = CellStatus(scenario.name, spec.name, seed, "error",
+                                    error=f"timing: {type(exc).__name__}: {exc}")
+            status.duration_ms = (time.perf_counter() - t0) * 1e3
+            timing.append(status)
+    for (scenario_name, algorithm, _seed), report in cells.items():
         report.sr_ms = sr.get((scenario_name, algorithm), float("nan"))
 
-    ordered_keys = sorted(cells)
-    reports = [cells[k][0] for k in ordered_keys]
+    reports = [cells[k] for k in sorted(cells)]
     (out / "reports.csv").write_text(reports_to_csv(reports), encoding="utf-8")
     (out / "aggregate.csv").write_text(
         aggregate_csv(reports), encoding="utf-8")
-
-    if config.emit_traces:
-        _emit_trace_files(out, config, traces, cells)
 
     finished = time.strftime("%Y-%m-%dT%H:%M:%S")
     manifest = RunManifest(
@@ -326,6 +379,7 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
         started=started,
         finished=finished,
         cells=statuses,
+        timing=timing,
     )
     (out / "manifest.json").write_text(json.dumps({
         "config_hash": manifest.config_hash,
@@ -333,78 +387,63 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
         "started": manifest.started,
         "finished": manifest.finished,
         "cells": [asdict(c) for c in manifest.cells],
+        "timing": [asdict(c) for c in manifest.timing],
     }, indent=2), encoding="utf-8")
     return manifest
 
 
-def _emit_trace_files(out, config, traces, cells):
-    """Per-cell trace csv plus plot-ready figure files: filter diagnostics
-    (adaptive lambda and variance series), overlaid predictions, errors."""
+def _emit_trace_files(out, scenario, seed, trace, preds, outputs):
+    """One pair's trace csv plus plot-ready figure files: the first RvmRls
+    cell's diagnostics (adaptive lambda and variance series) when that cell
+    succeeded, overlaid predictions, errors."""
     traces_dir = Path(out) / "traces"
     figs_dir = Path(out) / "figs"
-    traces_dir.mkdir(exist_ok=True)
-    figs_dir.mkdir(exist_ok=True)
+    write_trace_csv(trace, traces_dir / f"trace_{scenario.name}_{seed}.csv")
 
-    rvm_specs = [a for a in config.algorithms if a.kind == "rvm_rls"]
-    for scenario in config.scenarios:
-        for seed in config.seeds:
-            trace = traces[(scenario.name, seed)]
-            write_trace_csv(trace, traces_dir / f"trace_{scenario.name}_{seed}.csv")
+    if outputs is not None:
+        n0 = len(trace) - len(outputs)
+        with open(figs_dir / f"fig4_{scenario.name}_{seed}.csv", "w",
+                  encoding="utf-8", newline="") as fh:
+            w = csv.writer(fh, lineterminator="\n")
+            w.writerow(["t", "z", "p", "prediction", "residual",
+                        "rejected", "lambda", "sigma2_hat"])
+            for j, rec in enumerate(outputs):
+                i = n0 + j
+                w.writerow([
+                    f"{trace.times[i]:.17g}",
+                    f"{trace.measurement[i]:.17g}",
+                    f"{trace.reference[i]:.17g}",
+                    f"{rec.prediction:.17g}",
+                    f"{rec.residual:.17g}",
+                    int(rec.rejected),
+                    f"{rec.lambda_after:.17g}",
+                    f"{rec.sigma2_hat_after:.17g}",
+                ])
 
-            if rvm_specs:
-                spec = rvm_specs[0]
-                try:
-                    filt = build_filter(spec, scenario, seed)
-                    outputs = filt.run_detailed(trace.times, trace.measurement)
-                    n0 = filt.init_window
-                    with open(figs_dir / f"fig4_{scenario.name}_{seed}.csv", "w",
-                              encoding="utf-8", newline="") as fh:
-                        w = csv.writer(fh, lineterminator="\n")
-                        w.writerow(["t", "z", "p", "prediction", "residual",
-                                    "rejected", "lambda", "sigma2_hat"])
-                        for j, rec in enumerate(outputs):
-                            i = n0 + j
-                            w.writerow([
-                                f"{trace.times[i]:.17g}",
-                                f"{trace.measurement[i]:.17g}",
-                                f"{trace.reference[i]:.17g}",
-                                f"{rec.prediction:.17g}",
-                                f"{rec.residual:.17g}",
-                                int(rec.rejected),
-                                f"{rec.lambda_after:.17g}",
-                                f"{rec.sigma2_hat_after:.17g}",
-                            ])
-                except Exception:
-                    pass  # diagnostics are best-effort; reports already carry the cell status
-
-            algs = [a.name for a in config.algorithms
-                    if (scenario.name, a.name, seed) in cells]
-            if not algs:
-                continue
-            preds = {a: cells[(scenario.name, a, seed)][1] for a in algs}
-            n0_common = max(
-                len(trace.times) - len(p) for p in preds.values()
-            )
-            with open(figs_dir / f"fig5_{scenario.name}_{seed}.csv", "w",
-                      encoding="utf-8", newline="") as fh5, \
-                 open(figs_dir / f"fig6_{scenario.name}_{seed}.csv", "w",
-                      encoding="utf-8", newline="") as fh6:
-                w5 = csv.writer(fh5, lineterminator="\n")
-                w6 = csv.writer(fh6, lineterminator="\n")
-                w5.writerow(["t", "z", "p"] + [f"pred_{a}" for a in algs])
-                w6.writerow(["t"] + [f"err_{a}" for a in algs])
-                for i in range(n0_common, len(trace.times)):
-                    row5 = [f"{trace.times[i]:.17g}",
-                            f"{trace.measurement[i]:.17g}",
-                            f"{trace.reference[i]:.17g}"]
-                    row6 = [f"{trace.times[i]:.17g}"]
-                    for a in algs:
-                        p = preds[a]
-                        val = p[i - (len(trace.times) - len(p))]
-                        row5.append(f"{val:.17g}")
-                        row6.append(f"{val - trace.reference[i]:.17g}")
-                    w5.writerow(row5)
-                    w6.writerow(row6)
+    if not preds:
+        return
+    algs = list(preds)
+    n0_common = max(len(trace.times) - len(p) for p in preds.values())
+    with open(figs_dir / f"fig5_{scenario.name}_{seed}.csv", "w",
+              encoding="utf-8", newline="") as fh5, \
+         open(figs_dir / f"fig6_{scenario.name}_{seed}.csv", "w",
+              encoding="utf-8", newline="") as fh6:
+        w5 = csv.writer(fh5, lineterminator="\n")
+        w6 = csv.writer(fh6, lineterminator="\n")
+        w5.writerow(["t", "z", "p"] + [f"pred_{a}" for a in algs])
+        w6.writerow(["t"] + [f"err_{a}" for a in algs])
+        for i in range(n0_common, len(trace.times)):
+            row5 = [f"{trace.times[i]:.17g}",
+                    f"{trace.measurement[i]:.17g}",
+                    f"{trace.reference[i]:.17g}"]
+            row6 = [f"{trace.times[i]:.17g}"]
+            for a in algs:
+                p = preds[a]
+                val = p[i - (len(trace.times) - len(p))]
+                row5.append(f"{val:.17g}")
+                row6.append(f"{val - trace.reference[i]:.17g}")
+            w5.writerow(row5)
+            w6.writerow(row6)
 
 
 def aggregate_csv(reports) -> str:

@@ -5,7 +5,8 @@ Subcommands:
   table  render a metrics table from a reports csv
   synth  synthesize a scenario trace to csv
 
-Exit codes: 0 success, 1 one or more cells failed, 2 configuration error.
+Exit codes: 0 success, 1 one or more cells or timing runs failed, 2
+configuration error.
 """
 
 import argparse
@@ -32,7 +33,6 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run an experiment matrix")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config and env)")
-    p_run.add_argument("--workers", type=int, help="parallel metric cells")
     p_run.add_argument("--seed-override", type=int,
                        help="replace the config's seed list with one seed")
     p_run.add_argument("--no-traces", action="store_true",
@@ -49,8 +49,6 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.workers is not None:
-        config.workers = args.workers
     if args.seed_override is not None:
         config.seeds = [args.seed_override]
     if args.no_traces:
@@ -66,9 +64,9 @@ def _cmd_run(args) -> int:
         by_scenario.setdefault(r.scenario_id, []).append(r)
     for scenario_id in sorted(by_scenario):
         print(render_table(by_scenario[scenario_id]))
-    failed = manifest.failed
+    failed = manifest.failed + manifest.timing_failed
     if failed:
-        print(f"{len(failed)} cell(s) failed:", file=sys.stderr)
+        print(f"{len(failed)} failure(s):", file=sys.stderr)
         for c in failed:
             print(f"  {c.scenario_id}/{c.algorithm}/seed {c.seed}: {c.error}",
                   file=sys.stderr)

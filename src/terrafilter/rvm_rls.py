@@ -211,15 +211,4 @@ class RvmRls(ForgettingFactorCore):
         """Fit on the leading window, then step through the remainder,
         collecting every StepOutput. A trace exactly init_window long
         yields an empty list."""
-        times = np.asarray(times, dtype=float)
-        measurements = np.asarray(measurements, dtype=float)
-        n0 = self.init_window
-        if len(times) < n0:
-            raise InvalidInputError(
-                f"trace shorter than the initialization window ({len(times)} < {n0})"
-            )
-        self.fit(times[:n0], measurements[:n0])
-        return [
-            self.step_detailed(times[j], measurements[j])
-            for j in range(n0, len(times))
-        ]
+        return self._drive(times, measurements, self.step_detailed)

@@ -1,13 +1,18 @@
+import csv
 import json
+import multiprocessing
+import os
 
 import pytest
 
-from terrafilter import ConfigError, MetricsReport, ScenarioConfig
+from terrafilter import ConfigError, MetricsReport, ScenarioConfig, synthesize
+from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                default_experiment_config, load_config,
-                               median_reports, render_table, run_experiments)
+                               median_reports, render_table, run_cell,
+                               run_experiments)
 from terrafilter.cli import main
-from terrafilter.metrics import reports_from_csv
+from terrafilter.metrics import reports_from_csv, reports_to_csv
 
 ALGOS = [
     AlgorithmSpec("rvm_rls", "rvm_rls", {"target_noise_variance": "scenario"}),
@@ -74,6 +79,18 @@ class TestRunExperiments:
         fig4_header = (out / "figs" / "fig4_small_0.csv").read_text().split("\n")[0]
         assert "lambda" in fig4_header and "sigma2_hat" in fig4_header
 
+    def test_fig4_predictions_match_fig5(self, tmp_path):
+        run_experiments(small_config(tmp_path / "a"))
+
+        def column(name, key):
+            with open(tmp_path / "a" / "figs" / name, encoding="utf-8") as fh:
+                return {row["t"]: row[key] for row in csv.DictReader(fh)}
+
+        fig4 = column("fig4_small_0.csv", "prediction")
+        fig5 = column("fig5_small_0.csv", "pred_rvm_rls")
+        assert len(fig4) == 200
+        assert fig4 == fig5
+
     def test_crash_isolation(self, tmp_path):
         bad = AlgorithmSpec("broken", "rvm_rls", {"init_window": 3})
         config = small_config(tmp_path / "a", algorithms=ALGOS[:2] + [bad],
@@ -83,16 +100,22 @@ class TestRunExperiments:
         assert manifest.failed[0].algorithm == "broken"
         reports = reports_from_csv((tmp_path / "a" / "reports.csv").read_text())
         assert {r.algorithm for r in reports} == {"rvm_rls", "rls"}
+        # the broken filter cannot be timed either: recorded, not only NaN
+        assert [c.algorithm for c in manifest.timing_failed] == ["broken"]
+        assert manifest.timing_failed[0].error.startswith("timing: ")
 
-    def test_workers_match_serial(self, tmp_path):
-        config = small_config(tmp_path / "s", seeds=(0, 1), emit_traces=False)
+    def test_pool_reports_match_direct_cells(self, tmp_path):
+        config = small_config(tmp_path / "p", seeds=(0, 1), emit_traces=False)
         run_experiments(config)
-        serial = _strip_timing((tmp_path / "s" / "reports.csv").read_text())
-        config2 = small_config(tmp_path / "p", seeds=(0, 1), emit_traces=False)
-        config2.workers = 4
-        run_experiments(config2)
-        parallel = _strip_timing((tmp_path / "p" / "reports.csv").read_text())
-        assert serial == parallel
+        direct = []
+        for scenario in config.scenarios:
+            for seed in config.seeds:
+                trace = synthesize(scenario.with_seed(seed))
+                direct += [run_cell(spec, scenario, seed, trace)[0]
+                           for spec in config.algorithms]
+        direct.sort(key=lambda r: (r.scenario_id, r.algorithm, r.seed))
+        pooled = _strip_timing((tmp_path / "p" / "reports.csv").read_text())
+        assert pooled == _strip_timing(reports_to_csv(direct))
 
     def test_manifest_covers_every_cell_once(self, tmp_path):
         config = small_config(tmp_path / "a", seeds=(0, 1), emit_traces=False)
@@ -162,6 +185,12 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config(self._dump(tmp_path, payload))
 
+    def test_workers_key_rejected(self, tmp_path):
+        payload = self._payload()
+        payload["workers"] = 2
+        with pytest.raises(ConfigError, match="workers"):
+            load_config(self._dump(tmp_path, payload))
+
     def test_version_checked(self, tmp_path):
         payload = self._payload()
         payload["version"] = 99
@@ -229,7 +258,7 @@ class TestCli:
 
     def test_run_flags(self, tmp_path, capsys):
         code = main(["run", str(self._config_file(tmp_path)),
-                     "--out", str(tmp_path / "alt"), "--workers", "2",
+                     "--out", str(tmp_path / "alt"),
                      "--seed-override", "5", "--no-traces"])
         assert code == 0
         reports = reports_from_csv((tmp_path / "alt" / "reports.csv").read_text())
@@ -253,6 +282,41 @@ class TestCli:
         path = tmp_path / "config2.json"
         path.write_text(json.dumps(payload))
         assert main(["run", str(path), "--no-traces"]) == 1
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="the worker inherits the patched cell only under fork")
+    def test_dead_worker_fails_its_cells(self, tmp_path, monkeypatch, capsys):
+        real_run_cell = bench.run_cell
+
+        def dying_run_cell(spec, scenario, seed, trace, detailed=False):
+            if seed == 1:
+                os._exit(1)
+            return real_run_cell(spec, scenario, seed, trace, detailed)
+
+        monkeypatch.setattr(bench, "run_cell", dying_run_cell)
+        payload = json.loads(self._config_file(tmp_path).read_text())
+        payload["seeds"] = [0, 1]
+        path = tmp_path / "config2.json"
+        path.write_text(json.dumps(payload))
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("fork", force=True)
+        try:
+            code = main(["run", str(path), "--no-traces"])
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "BrokenProcessPool" in err and "Traceback" not in err
+        out = tmp_path / "out"
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        assert len(cells) == 4
+        dead = [c for c in cells if c["seed"] == 1]
+        assert all(c["status"] == "error" and "BrokenProcessPool" in c["error"]
+                   for c in dead)
+        reports = reports_from_csv((out / "reports.csv").read_text())
+        assert ({(r.algorithm, r.seed) for r in reports}
+                == {(c["algorithm"], c["seed"]) for c in cells
+                    if c["status"] == "ok"})
 
     def test_synth(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"
