@@ -13,8 +13,7 @@ from .geometry import (WaypointGeometry, next_waypoint, vertical_recursion,
                        waypoint_std)
 from .metrics import (MetricsReport, improvement, max_error, mse, time_step,
                       variance_ratio)
-from .regression import (BatchFit, TimeScale, batch_least_squares, poly_basis,
-                         predict)
+from .regression import BatchFit, batch_least_squares, poly_basis
 from .rvm_rls import RvmRls, StepOutput, variance_cost
 from .scenario import (ScenarioConfig, ScenarioTrace, TerrainParams,
                        synthesize, terrain_height, write_trace_csv)
@@ -24,9 +23,9 @@ __all__ = [
     "InsufficientDataError", "InvalidInputError", "MetricsReport",
     "NormalizedLms", "NotFittedError", "NumericalDivergenceError", "RvmRls",
     "ScenarioConfig", "ScenarioTrace", "SingularFitError", "StaticRls",
-    "StepOutput", "TerraFilterError", "TerrainParams", "TimeScale",
+    "StepOutput", "TerraFilterError", "TerrainParams",
     "UndefinedRatioError", "WaypointGeometry", "batch_least_squares",
     "improvement", "max_error", "mse", "next_waypoint", "poly_basis",
-    "predict", "synthesize", "terrain_height", "time_step", "variance_cost",
+    "synthesize", "terrain_height", "time_step", "variance_cost",
     "variance_ratio", "vertical_recursion", "waypoint_std", "write_trace_csv",
 ]

@@ -65,6 +65,12 @@ class StreamingFilter:
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
 
     def _validate_window(self, times, measurements):
+        """Check the ``fit`` inputs and ``scale_divisor``; every filter's fit
+        passes through here, no step does."""
+        if not (math.isfinite(self.scale_divisor) and self.scale_divisor > 0):
+            raise InvalidInputError(
+                f"scale_divisor must be a positive finite number, got {self.scale_divisor!r}"
+            )
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
         if times.ndim != 1 or times.shape != measurements.shape:

@@ -9,6 +9,7 @@ import json
 import os
 import re
 import time
+from collections import Counter
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, max_error, mse, reports_to_csv, time_step,
                       variance_ratio)
 from .rvm_rls import RvmRls
-from .scenario import ScenarioConfig, TerrainParams, synthesize, write_trace_csv
+from .scenario import (ScenarioConfig, TerrainParams, synthesize, write_columns,
+                       write_trace_csv)
 
 FILTER_KINDS = {
     "rvm_rls": RvmRls,
@@ -381,14 +383,8 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
         cells=statuses,
         timing=timing,
     )
-    (out / "manifest.json").write_text(json.dumps({
-        "config_hash": manifest.config_hash,
-        "tool_version": manifest.tool_version,
-        "started": manifest.started,
-        "finished": manifest.finished,
-        "cells": [asdict(c) for c in manifest.cells],
-        "timing": [asdict(c) for c in manifest.timing],
-    }, indent=2), encoding="utf-8")
+    (out / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2),
+                                       encoding="utf-8")
     return manifest
 
 
@@ -396,75 +392,53 @@ def _emit_trace_files(out, scenario, seed, trace, preds, outputs):
     """One pair's trace csv plus plot-ready figure files: the first RvmRls
     cell's diagnostics (adaptive lambda and variance series) when that cell
     succeeded, overlaid predictions, errors."""
-    traces_dir = Path(out) / "traces"
     figs_dir = Path(out) / "figs"
-    write_trace_csv(trace, traces_dir / f"trace_{scenario.name}_{seed}.csv")
+    name = f"{scenario.name}_{seed}.csv"
+    write_trace_csv(trace, Path(out) / "traces" / f"trace_{name}")
 
     if outputs is not None:
-        n0 = len(trace) - len(outputs)
-        with open(figs_dir / f"fig4_{scenario.name}_{seed}.csv", "w",
-                  encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t", "z", "p", "prediction", "residual",
-                        "rejected", "lambda", "sigma2_hat"])
-            for j, rec in enumerate(outputs):
-                i = n0 + j
-                w.writerow([
-                    f"{trace.times[i]:.17g}",
-                    f"{trace.measurement[i]:.17g}",
-                    f"{trace.reference[i]:.17g}",
-                    f"{rec.prediction:.17g}",
-                    f"{rec.residual:.17g}",
-                    int(rec.rejected),
-                    f"{rec.lambda_after:.17g}",
-                    f"{rec.sigma2_hat_after:.17g}",
-                ])
+        tail = slice(len(trace) - len(outputs), None)
+        write_columns(
+            figs_dir / f"fig4_{name}",
+            ["t", "z", "p", "prediction", "residual", "rejected", "lambda",
+             "sigma2_hat"],
+            [trace.times[tail], trace.measurement[tail], trace.reference[tail],
+             [o.prediction for o in outputs], [o.residual for o in outputs],
+             [o.rejected for o in outputs], [o.lambda_after for o in outputs],
+             [o.sigma2_hat_after for o in outputs]])
 
     if not preds:
         return
-    algs = list(preds)
-    n0_common = max(len(trace.times) - len(p) for p in preds.values())
-    with open(figs_dir / f"fig5_{scenario.name}_{seed}.csv", "w",
-              encoding="utf-8", newline="") as fh5, \
-         open(figs_dir / f"fig6_{scenario.name}_{seed}.csv", "w",
-              encoding="utf-8", newline="") as fh6:
-        w5 = csv.writer(fh5, lineterminator="\n")
-        w6 = csv.writer(fh6, lineterminator="\n")
-        w5.writerow(["t", "z", "p"] + [f"pred_{a}" for a in algs])
-        w6.writerow(["t"] + [f"err_{a}" for a in algs])
-        for i in range(n0_common, len(trace.times)):
-            row5 = [f"{trace.times[i]:.17g}",
-                    f"{trace.measurement[i]:.17g}",
-                    f"{trace.reference[i]:.17g}"]
-            row6 = [f"{trace.times[i]:.17g}"]
-            for a in algs:
-                p = preds[a]
-                val = p[i - (len(trace.times) - len(p))]
-                row5.append(f"{val:.17g}")
-                row6.append(f"{val - trace.reference[i]:.17g}")
-            w5.writerow(row5)
-            w6.writerow(row6)
+    # the rows every algorithm predicted: each one's last `common` samples
+    common = min(len(p) for p in preds.values())
+    tail = slice(len(trace) - common, None)
+    reference = trace.reference[tail]
+    aligned = [p[len(p) - common:] for p in preds.values()]
+    write_columns(figs_dir / f"fig5_{name}",
+                  ["t", "z", "p"] + [f"pred_{a}" for a in preds],
+                  [trace.times[tail], trace.measurement[tail], reference] + aligned)
+    write_columns(figs_dir / f"fig6_{name}",
+                  ["t"] + [f"err_{a}" for a in preds],
+                  [trace.times[tail]] + [p - reference for p in aligned])
 
 
 def aggregate_csv(reports) -> str:
-    """Per-(algorithm, scenario) medians across seeds."""
-    groups = {}
-    for r in reports:
-        groups.setdefault((r.scenario_id, r.algorithm), []).append(r)
+    """Per-(scenario, algorithm) medians across seeds, as computed by
+    ``median_reports``, with each group's seed count."""
+    seeds = Counter((r.scenario_id, r.algorithm) for r in reports)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["scenario_id", "algorithm", "seeds",
                      "median_sr_ms", "median_mse", "median_vr", "median_me"])
-    for (scenario_id, algorithm) in sorted(groups):
-        rs = groups[(scenario_id, algorithm)]
+    for m in median_reports(reports):
         writer.writerow([
-            scenario_id,
-            algorithm,
-            len(rs),
-            f"{float(np.median([r.sr_ms for r in rs])):.6f}",
-            f"{float(np.median([r.mse for r in rs])):.17g}",
-            f"{float(np.median([r.vr for r in rs])):.17g}",
-            f"{float(np.median([r.me for r in rs])):.17g}",
+            m.scenario_id,
+            m.algorithm,
+            seeds[(m.scenario_id, m.algorithm)],
+            f"{m.sr_ms:.6f}",
+            f"{m.mse:.17g}",
+            f"{m.vr:.17g}",
+            f"{m.me:.17g}",
         ])
     return buf.getvalue()
 

@@ -57,13 +57,7 @@ def _cmd_run(args) -> int:
     config.validate()
 
     manifest = run_experiments(config, out_dir=out_dir)
-    with open(os.path.join(out_dir, "reports.csv"), encoding="utf-8") as fh:
-        reports = reports_from_csv(fh.read())
-    by_scenario = {}
-    for r in median_reports(reports):
-        by_scenario.setdefault(r.scenario_id, []).append(r)
-    for scenario_id in sorted(by_scenario):
-        print(render_table(by_scenario[scenario_id]))
+    _print_tables(os.path.join(out_dir, "reports.csv"))
     failed = manifest.failed + manifest.timing_failed
     if failed:
         print(f"{len(failed)} failure(s):", file=sys.stderr)
@@ -75,14 +69,19 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_table(args) -> int:
-    with open(args.reports, encoding="utf-8") as fh:
+def _print_tables(reports_path) -> None:
+    """Print one median table per scenario of a reports csv."""
+    with open(reports_path, encoding="utf-8") as fh:
         reports = reports_from_csv(fh.read())
     by_scenario = {}
     for r in median_reports(reports):
         by_scenario.setdefault(r.scenario_id, []).append(r)
     for scenario_id in sorted(by_scenario):
         print(render_table(by_scenario[scenario_id]))
+
+
+def _cmd_table(args) -> int:
+    _print_tables(args.reports)
     return 0
 
 

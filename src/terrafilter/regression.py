@@ -1,8 +1,8 @@
-"""Polynomial regressors, time scaling, and windowed batch least squares.
+"""Polynomial regressors and windowed batch least squares.
 
 Every filter in the package models the measurement stream as a polynomial
-in scaled time and shares this module for basis construction and batch
-initialization.
+in scaled time tau = t_raw / scale_divisor and shares this module for basis
+construction and batch initialization.
 """
 
 from dataclasses import dataclass
@@ -14,27 +14,6 @@ from .exceptions import InsufficientDataError, InvalidInputError, SingularFitErr
 # Relative singular-value cutoff below which a design matrix is treated as
 # rank deficient.
 RANK_TOLERANCE = 1e-10
-
-
-@dataclass(frozen=True)
-class TimeScale:
-    """Conversion from raw time stamps to the scaled abscissa fed to the
-    polynomial basis.
-
-    Raw sample times can span thousands of units; powers up to degree 4 of
-    such values overflow any sensible dynamic range. All filters therefore
-    consume tau = t_raw / scale_divisor.
-    """
-
-    scale_divisor: float = 100.0
-
-    def __post_init__(self):
-        if not np.isfinite(self.scale_divisor) or self.scale_divisor <= 0:
-            raise InvalidInputError("scale_divisor must be a positive finite number")
-
-    def scale(self, t_raw):
-        """Map raw time (scalar or array) to scaled time."""
-        return np.asarray(t_raw, dtype=float) / self.scale_divisor
 
 
 def poly_basis(tau: float, degree: int) -> np.ndarray:
@@ -54,43 +33,26 @@ def poly_basis(tau: float, degree: int) -> np.ndarray:
     return phi
 
 
-def predict(phi: np.ndarray, theta: np.ndarray) -> float:
-    """Inner product of a regressor with a parameter vector."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if phi.shape != theta.shape:
-        raise InvalidInputError(
-            f"regressor and parameter lengths differ: {phi.shape} vs {theta.shape}"
-        )
-    return float(phi @ theta)
-
-
 @dataclass
 class BatchFit:
     """Result of a windowed least-squares fit.
 
-    ``covariance`` is residual_variance * (Phi^T Phi)^-1, the parameter
-    covariance under homoscedastic noise. ``gram_inverse_root`` is a matrix
-    R with R R^T = (Phi^T Phi)^-1; recursive filters use it to seed their
-    covariance factor without ever forming the explicit inverse.
+    ``gram_inverse_root`` is a matrix R with R R^T = (Phi^T Phi)^-1;
+    recursive filters use it to seed their covariance factor without ever
+    forming the explicit inverse.
     """
 
     theta: np.ndarray
     residual_variance: float
-    covariance: np.ndarray
     gram_inverse_root: np.ndarray
-
-    @property
-    def gram_inverse(self) -> np.ndarray:
-        return self.gram_inverse_root @ self.gram_inverse_root.T
 
 
 def batch_least_squares(taus, ys, degree: int) -> BatchFit:
     """Least-squares polynomial fit over a window of (tau, y) samples.
 
-    Solves via SVD (rank revealing); the normal-equation inverse is only
-    materialized for the covariance output. Residual variance uses the
-    degrees-of-freedom denominator M = n - degree - 1.
+    Solves via SVD (rank revealing); the normal-equation inverse is never
+    materialized. Residual variance uses the degrees-of-freedom denominator
+    M = n - degree - 1.
     """
     taus = np.asarray(taus, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -115,7 +77,4 @@ def batch_least_squares(taus, ys, degree: int) -> BatchFit:
     theta = vt.T @ ((u.T @ ys) / s)
     resid = ys - design @ theta
     residual_variance = float(resid @ resid) / dof
-    gram_inverse_root = vt.T / s
-    covariance = residual_variance * (gram_inverse_root @ gram_inverse_root.T)
-    covariance = (covariance + covariance.T) / 2.0
-    return BatchFit(theta, residual_variance, covariance, gram_inverse_root)
+    return BatchFit(theta, residual_variance, vt.T / s)

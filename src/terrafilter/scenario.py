@@ -5,8 +5,6 @@ terrain, a constant-clearance reference trajectory above it, and noisy
 measurements corrupted by a configurable fraction of impulsive outliers.
 """
 
-import csv
-import io
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -153,22 +151,20 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
     )
 
 
-def format_trace_csv(trace: ScenarioTrace) -> str:
-    """Render a trace as comma-separated text, full double precision."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_HEADER)
-    for i in range(len(trace)):
-        writer.writerow([
-            f"{trace.times[i]:.17g}",
-            f"{trace.terrain[i]:.17g}",
-            f"{trace.reference[i]:.17g}",
-            f"{trace.measurement[i]:.17g}",
-            int(trace.outlier_mask[i]),
-        ])
-    return buf.getvalue()
+def write_columns(path, header, columns) -> None:
+    """Write equal-length 1-D columns as comma-separated text: the header
+    line, then one line per row. Integer and boolean columns print as
+    integers, the rest at full double precision (``%.17g``)."""
+    columns = [np.asarray(c) for c in columns]
+    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
+                   for c in columns) + "\n"
+    rows = np.column_stack(columns).tolist()
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(fmt % tuple(row) for row in rows)
 
 
 def write_trace_csv(trace: ScenarioTrace, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(format_trace_csv(trace))
+    write_columns(path, TRACE_HEADER, [trace.times, trace.terrain,
+                                       trace.reference, trace.measurement,
+                                       trace.outlier_mask])

@@ -21,6 +21,8 @@ from terrafilter import (RvmRls, ScenarioConfig, StaticRls,
 from terrafilter.bench import default_experiment_config, run_experiments
 from terrafilter.metrics import reports_from_csv
 
+from goldens import REPORTS_GOLDEN, mismatch_note, strip_timing
+
 SEEDS = list(range(10))
 OUTLIER = "terrain_outliers"
 CLEAN = "terrain_clean"
@@ -51,9 +53,16 @@ def matrix(tmp_path_factory):
     config = default_experiment_config(str(out), seeds=SEEDS)
     config.emit_traces = False
     manifest = run_experiments(config)
-    reports = reports_from_csv((out / "reports.csv").read_text())
+    text = (out / "reports.csv").read_text()
     return SimpleNamespace(out=out, config=config, manifest=manifest,
-                           reports=reports)
+                           text=text, reports=reports_from_csv(text))
+
+
+def test_reports_match_golden(matrix):
+    """The matrix's reports, timing aside, equal the committed golden copy
+    byte for byte."""
+    assert strip_timing(matrix.text) == REPORTS_GOLDEN.read_text(
+        encoding="utf-8"), mismatch_note()
 
 
 def test_criterion_01_outlier_table_ordering(matrix):

@@ -147,6 +147,16 @@ class TestBootstrapParticleFilter:
 
 
 class TestInterfaceUniformity:
+    @pytest.mark.parametrize("bad", [0.0, -100.0, np.nan, np.inf])
+    @pytest.mark.parametrize("make", ALL_FILTERS,
+                             ids=["rvm_rls", "rls", "lms", "gvff_rls", "pf"])
+    def test_bad_scale_divisor_rejected_at_fit(self, make, bad,
+                                               benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        f = make().set_params(scale_divisor=bad)
+        with pytest.raises(InvalidInputError, match="scale_divisor"):
+            f.fit(trace.times[:f.init_window], trace.measurement[:f.init_window])
+
     def test_one_prediction_per_post_init_sample(self, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
         for make in ALL_FILTERS:

@@ -14,6 +14,8 @@ from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
 from terrafilter.cli import main
 from terrafilter.metrics import reports_from_csv, reports_to_csv
 
+from goldens import SMALL_GOLDEN, mismatch_note, output_digests, strip_timing
+
 ALGOS = [
     AlgorithmSpec("rvm_rls", "rvm_rls", {"target_noise_variance": "scenario"}),
     AlgorithmSpec("rls", "rls", {}),
@@ -35,17 +37,6 @@ def small_config(out, seeds=(0,), algorithms=ALGOS, emit_traces=True):
     ).validate()
 
 
-def _strip_timing(text: str) -> str:
-    lines = text.strip().split("\n")
-    header = lines[0].split(",")
-    drop = [i for i, h in enumerate(header) if "sr_ms" in h]
-    out = []
-    for line in lines:
-        cells = [c for i, c in enumerate(line.split(",")) if i not in drop]
-        out.append(",".join(cells))
-    return "\n".join(out)
-
-
 class TestRunExperiments:
     def test_report_cardinality(self, tmp_path):
         config = small_config(tmp_path / "a")
@@ -63,7 +54,7 @@ class TestRunExperiments:
         config2 = small_config(tmp_path / "b", emit_traces=False)
         run_experiments(config2)
         second = (tmp_path / "b" / "reports.csv").read_text()
-        assert _strip_timing(first) == _strip_timing(second)
+        assert strip_timing(first) == strip_timing(second)
 
     def test_output_files_exist(self, tmp_path):
         config = small_config(tmp_path / "a")
@@ -114,8 +105,13 @@ class TestRunExperiments:
                 direct += [run_cell(spec, scenario, seed, trace)[0]
                            for spec in config.algorithms]
         direct.sort(key=lambda r: (r.scenario_id, r.algorithm, r.seed))
-        pooled = _strip_timing((tmp_path / "p" / "reports.csv").read_text())
-        assert pooled == _strip_timing(reports_to_csv(direct))
+        pooled = strip_timing((tmp_path / "p" / "reports.csv").read_text())
+        assert pooled == strip_timing(reports_to_csv(direct))
+
+    def test_outputs_match_golden(self, tmp_path):
+        run_experiments(small_config(tmp_path / "a", seeds=(0, 1)))
+        golden = json.loads(SMALL_GOLDEN.read_text(encoding="utf-8"))
+        assert output_digests(tmp_path / "a") == golden["files"], mismatch_note()
 
     def test_manifest_covers_every_cell_once(self, tmp_path):
         config = small_config(tmp_path / "a", seeds=(0, 1), emit_traces=False)
@@ -254,7 +250,9 @@ class TestCli:
         assert "scenario: s" in out
         code = main(["table", str(tmp_path / "out" / "reports.csv")])
         assert code == 0
-        assert "lms" in capsys.readouterr().out
+        tables = capsys.readouterr().out
+        assert "lms" in tables
+        assert out == tables + f"ok: 2 cells -> {tmp_path / 'out'}\n"
 
     def test_run_flags(self, tmp_path, capsys):
         code = main(["run", str(self._config_file(tmp_path)),

@@ -3,25 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from terrafilter import (InsufficientDataError, InvalidInputError,
-                         SingularFitError, TimeScale, batch_least_squares,
-                         poly_basis, predict, terrain_height)
-
-
-class TestTimeScale:
-    def test_scale(self):
-        ts = TimeScale(100.0)
-        assert ts.scale(250.0) == 2.5
-        np.testing.assert_allclose(ts.scale([0, 100, 200]), [0, 1, 2])
-
-    def test_strictly_increasing_preserved(self):
-        ts = TimeScale(7.3)
-        raw = np.array([0.0, 0.1, 5.0, 5.0001])
-        assert np.all(np.diff(ts.scale(raw)) > 0)
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
-    def test_invalid_divisor(self, bad):
-        with pytest.raises(InvalidInputError):
-            TimeScale(bad)
+                         SingularFitError, batch_least_squares, poly_basis,
+                         terrain_height)
 
 
 class TestPolyBasis:
@@ -46,21 +29,6 @@ class TestPolyBasis:
         assert len(phi) == m + 1
         for k in range(m):
             assert phi[k + 1] == phi[k] * tau
-
-
-class TestPredict:
-    def test_intercept_selection(self):
-        assert predict([1, 0, 0, 0, 0], [7, 1, 2, 3, 4]) == 7
-
-    def test_all_ones(self):
-        assert predict([1, 1, 1, 1, 1], [1, 1, 1, 1, 1]) == 5
-
-    def test_hand_evaluation(self):
-        assert predict(poly_basis(2.0, 2), [1, -1, 0.5]) == pytest.approx(1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(InvalidInputError):
-            predict([1, 2], [1, 2, 3])
 
 
 class TestBatchLeastSquares:
@@ -105,15 +73,6 @@ class TestBatchLeastSquares:
         np.testing.assert_allclose(two.theta, 2.0 * one.theta, rtol=1e-9)
         assert two.residual_variance == pytest.approx(
             4.0 * one.residual_variance, rel=1e-9)
-
-    def test_covariance_symmetric_psd(self, rng):
-        taus = np.linspace(0.0, 1.0, 30)
-        ys = rng.normal(0.0, 0.3, 30)
-        fit = batch_least_squares(taus, ys, 4)
-        np.testing.assert_array_equal(fit.covariance, fit.covariance.T)
-        eigs = np.linalg.eigvalsh(fit.covariance)
-        assert eigs.min() >= -1e-9 * np.trace(fit.covariance)
-        assert fit.residual_variance >= 0
 
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from terrafilter import (InvalidInputError, ScenarioConfig, TerrainParams,
-                         synthesize, terrain_height)
-from terrafilter.scenario import format_trace_csv
+                         synthesize, terrain_height, write_trace_csv)
 
 
 class TestTerrainHeight:
@@ -88,18 +87,19 @@ class TestSynthesize:
 
 
 class TestTraceExport:
-    def test_header_and_shape(self):
+    def test_header_and_shape(self, tmp_path):
         trace = synthesize(ScenarioConfig(sample_count=150, clean_prefix=30,
                                           seed=0))
-        text = format_trace_csv(trace)
-        lines = text.strip().split("\n")
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().strip().split("\n")
         assert lines[0] == "t,H,p,z,outlier"
         assert len(lines) == 151
 
-    def test_full_precision_roundtrip(self):
+    def test_full_precision_roundtrip(self, tmp_path):
         trace = synthesize(ScenarioConfig(sample_count=150, clean_prefix=30,
                                           seed=1))
-        lines = format_trace_csv(trace).strip().split("\n")[1:]
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        lines = (tmp_path / "trace.csv").read_text().strip().split("\n")[1:]
         z = np.array([float(line.split(",")[3]) for line in lines])
         np.testing.assert_array_equal(z, trace.measurement)
         flags = np.array([int(line.split(",")[4]) for line in lines], dtype=bool)
