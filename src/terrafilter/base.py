@@ -8,6 +8,7 @@ round-trip them, fitted state lives in trailing-underscore attributes, and
 
 import inspect
 import math
+import numbers
 
 import numpy as np
 
@@ -17,6 +18,13 @@ from .regression import batch_least_squares, poly_basis
 # Gain denominators below this are treated as a numerical collapse rather
 # than silently dividing.
 GAIN_DENOMINATOR_FLOOR = 1e-12
+
+
+def all_finite(x: np.ndarray) -> bool:
+    """True when every entry of the vector ``x`` is finite. x . x decides in
+    one BLAS call unless a finite entry beyond ~1e154 overflows the square;
+    only then are the entries checked one by one."""
+    return math.isfinite(x.dot(x)) or bool(np.isfinite(x).all())
 
 
 class StreamingFilter:
@@ -64,9 +72,16 @@ class StreamingFilter:
         if not getattr(self, "is_fitted_", False):
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
 
+    def _check_integer_params(self):
+        for name in ("degree", "init_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+
     def _validate_window(self, times, measurements):
-        """Check the ``fit`` inputs and ``scale_divisor``; every filter's fit
-        passes through here, no step does."""
+        """Check the ``fit`` inputs and the shared hyperparameters; every
+        filter's fit passes through here, no step does."""
+        self._check_integer_params()
         if not (math.isfinite(self.scale_divisor) and self.scale_divisor > 0):
             raise InvalidInputError(
                 f"scale_divisor must be a positive finite number, got {self.scale_divisor!r}"
@@ -93,11 +108,25 @@ class StreamingFilter:
         self.last_time_ = t_raw
         return t_raw, y
 
+    def _predict(self, t_raw: float, y: float):
+        """Advance the clock to one new sample and predict it from the
+        current parameters: returns ``(phi, y, prediction)``."""
+        self._check_fitted()
+        t_raw, y = self._advance_clock(t_raw, y)
+        phi = poly_basis(t_raw / self.scale_divisor, self.degree)
+        prediction = float(phi.dot(self.theta_))
+        if not math.isfinite(prediction):
+            raise NumericalDivergenceError(
+                "prediction became non-finite", self.step_index_
+            )
+        return phi, y, prediction
+
     def _drive(self, times, measurements, step) -> list:
         """Fit on the first ``init_window`` samples, then return
         ``step(t, y)`` for each remaining sample, in order."""
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
+        self._check_integer_params()
         n0 = self.init_window
         if len(times) < n0:
             raise InvalidInputError(
@@ -146,29 +175,49 @@ class ForgettingFactorCore(StreamingFilter):
         self.is_fitted_ = True
         return fit
 
-    def _basis_at(self, t_raw: float) -> np.ndarray:
-        return poly_basis(t_raw / self.scale_divisor, self.degree)
-
     def _gain_update(self, phi: np.ndarray, lam: float) -> np.ndarray:
         """Advance the covariance factor under forgetting factor ``lam`` and
         return the gain vector K."""
-        v = self.L_.T @ phi
-        vv = float(v @ v)
+        L = self.L_
+        v = phi.dot(L)
+        vv = float(v.dot(v))
         denom = lam + vv
         if denom < GAIN_DENOMINATOR_FLOOR:
             raise NumericalDivergenceError(
                 "gain denominator collapsed", self.step_index_
             )
-        Lv = self.L_ @ v
+        Lv = L.dot(v)
         K = Lv / denom
         if vv > 0.0:
-            beta = (1.0 - math.sqrt(lam / denom)) / vv
-            self.L_ = (self.L_ - beta * np.outer(Lv, v)) / math.sqrt(lam)
+            # (L - beta Lv v^T) / sqrt(lam) in the fresh C-ordered buffer of
+            # Lv v^T: BLAS rounds products with C- and F-ordered L differently
+            L_new = np.multiply(Lv[:, None], v)
+            L_new *= (1.0 - math.sqrt(lam / denom)) / vv
+            np.subtract(L, L_new, out=L_new)
+            L_new /= math.sqrt(lam)
+            self.L_ = L_new
         else:
-            self.L_ = self.L_ / math.sqrt(lam)
-        if not np.isfinite(K).all():
-            raise NumericalDivergenceError("gain became non-finite", self.step_index_)
+            self.L_ = L / math.sqrt(lam)
         return K
+
+    def _clip_lambda(self, lam: float) -> float:
+        """Clip into [lambda_min, lambda_max] (adaptive-lambda filters)."""
+        return min(max(lam, self.lambda_min), self.lambda_max)
+
+    def _absorb(self, phi: np.ndarray, lam: float, residual: float) -> np.ndarray:
+        """Update the factor and the parameters with one sample's
+        ``residual`` under forgetting factor ``lam``, close the step and
+        return the gain. The parameter guard covers the gain too: a
+        non-finite gain always leaves a non-finite parameter vector."""
+        gain = self._gain_update(phi, lam)
+        self.theta_ = self.theta_ + gain * residual
+        if not all_finite(self.theta_):
+            culprit = "parameter vector" if all_finite(gain) else "gain"
+            raise NumericalDivergenceError(
+                f"{culprit} became non-finite", self.step_index_
+            )
+        self.step_index_ += 1
+        return gain
 
     @property
     def P_(self) -> np.ndarray:

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .base import ForgettingFactorCore, StreamingFilter
+from .base import ForgettingFactorCore, StreamingFilter, all_finite
 from .exceptions import InvalidInputError, NumericalDivergenceError
 from .regression import batch_least_squares, poly_basis
 
@@ -39,16 +39,15 @@ class NormalizedLms(StreamingFilter):
         taus = times / self.scale_divisor
         self.theta_ = batch_least_squares(taus, measurements, self.degree).theta
         self.last_time_ = float(times[-1])
+        self.step_index_ = len(times)
         self.is_fitted_ = True
         return self
 
     def step(self, t_raw: float, y: float) -> float:
-        self._check_fitted()
-        t_raw, y = self._advance_clock(t_raw, y)
-        phi = poly_basis(t_raw / self.scale_divisor, self.degree)
-        prediction = float(phi @ self.theta_)
+        phi, y, prediction = self._predict(t_raw, y)
         residual = y - prediction
-        self.theta_ = self.theta_ + self.mu * residual * phi / (self.eps + float(phi @ phi))
+        self.theta_ = self.theta_ + self.mu * residual * phi / (self.eps + float(phi.dot(phi)))
+        self.step_index_ += 1
         return prediction
 
 
@@ -77,17 +76,8 @@ class StaticRls(ForgettingFactorCore):
         return self
 
     def step(self, t_raw: float, y: float) -> float:
-        self._check_fitted()
-        t_raw, y = self._advance_clock(t_raw, y)
-        phi = self._basis_at(t_raw)
-        prediction = float(phi @ self.theta_)
-        if not math.isfinite(prediction):
-            raise NumericalDivergenceError(
-                "prediction became non-finite", self.step_index_
-            )
-        gain = self._gain_update(phi, self.forgetting)
-        self.theta_ = self.theta_ + gain * (y - prediction)
-        self.step_index_ += 1
+        phi, y, prediction = self._predict(t_raw, y)
+        self._absorb(phi, self.forgetting, y - prediction)
         return prediction
 
 
@@ -132,35 +122,22 @@ class GvffRls(ForgettingFactorCore):
         return self
 
     def step(self, t_raw: float, y: float) -> float:
-        self._check_fitted()
-        t_raw, y = self._advance_clock(t_raw, y)
-        phi = self._basis_at(t_raw)
-        prediction = float(phi @ self.theta_)
-        if not math.isfinite(prediction):
-            raise NumericalDivergenceError(
-                "prediction became non-finite", self.step_index_
-            )
+        phi, y, prediction = self._predict(t_raw, y)
         e = y - prediction
-        self.lambda_ = min(
-            max(self.lambda_ + self.alpha * e * float(phi @ self.psi_),
-                self.lambda_min),
-            self.lambda_max,
-        )
-        gain = self._gain_update(phi, self.lambda_)
-        self.theta_ = self.theta_ + gain * e
-        P_new = self.L_ @ self.L_.T
+        phi_psi = float(phi.dot(self.psi_))
+        self.lambda_ = self._clip_lambda(self.lambda_ + self.alpha * e * phi_psi)
+        gain = self._absorb(phi, self.lambda_, e)
+        gain_col = gain[:, None]
         # (I - K phi^T) S (I - phi K^T) via two rank-1 corrections
-        AS = self.S_ - np.outer(gain, phi @ self.S_)
-        ASA = AS - np.outer(AS @ phi, gain)
-        self.S_ = (ASA + np.outer(gain, gain) - P_new) / self.lambda_
-        self.psi_ = (
-            self.psi_ - gain * float(phi @ self.psi_) + self.S_ @ phi * e
-        )
-        if not np.isfinite(self.psi_).all():
+        AS = self.S_ - gain_col * phi.dot(self.S_)
+        ASA = AS - AS.dot(phi)[:, None] * gain
+        self.S_ = (ASA + gain_col * gain - self.L_.dot(self.L_.T)) / self.lambda_
+        self.psi_ = self.psi_ - gain * phi_psi + self.S_.dot(phi) * e
+        if not all_finite(self.psi_):
+            # _absorb has closed the step already
             raise NumericalDivergenceError(
-                "sensitivity vector became non-finite", self.step_index_
+                "sensitivity vector became non-finite", self.step_index_ - 1
             )
-        self.step_index_ += 1
         return prediction
 
 

@@ -5,6 +5,7 @@ in scaled time tau = t_raw / scale_divisor and shares this module for basis
 construction and batch initialization.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,17 +21,17 @@ def poly_basis(tau: float, degree: int) -> np.ndarray:
     """Return the polynomial regressor [1, tau, tau^2, ..., tau^degree].
 
     Each entry is the previous entry times tau, so entry k is exactly tau**k.
+    The chain runs on Python floats, whose multiply rounds as numpy's does.
     """
     if degree < 0:
         raise InvalidInputError("degree must be non-negative")
     tau = float(tau)
-    if not np.isfinite(tau):
+    if not math.isfinite(tau):
         raise InvalidInputError("tau must be finite")
-    phi = np.empty(degree + 1)
-    phi[0] = 1.0
-    for k in range(1, degree + 1):
-        phi[k] = phi[k - 1] * tau
-    return phi
+    row = [1.0]
+    for _ in range(degree):
+        row.append(row[-1] * tau)
+    return np.array(row)
 
 
 @dataclass

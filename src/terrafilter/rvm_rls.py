@@ -11,10 +11,8 @@ treated as outliers.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .base import ForgettingFactorCore
-from .exceptions import InvalidInputError, NumericalDivergenceError
+from .exceptions import InvalidInputError
 
 
 def variance_cost(sigma2_prev: float, residual: float, lam: float,
@@ -138,7 +136,7 @@ class RvmRls(ForgettingFactorCore):
             self.sigma2_target_ = float(self.target_noise_variance)
         else:
             self.sigma2_target_ = fit.residual_variance
-        self.lambda_ = min(max(self.lambda_init, self.lambda_min), self.lambda_max)
+        self.lambda_ = self._clip_lambda(self.lambda_init)
         return self
 
     def step_detailed(self, t_raw: float, y: float) -> StepOutput:
@@ -149,15 +147,7 @@ class RvmRls(ForgettingFactorCore):
         then the least-squares gain/parameter/covariance updates under the
         new lambda.
         """
-        self._check_fitted()
-        t_raw, y = self._advance_clock(t_raw, y)
-
-        phi = self._basis_at(t_raw)
-        prediction = float(phi @ self.theta_)
-        if not math.isfinite(prediction):
-            raise NumericalDivergenceError(
-                "prediction became non-finite", self.step_index_
-            )
+        phi, y, prediction = self._predict(t_raw, y)
         raw_residual = y - prediction
         rejected = (
             self.outlier_gate
@@ -167,33 +157,16 @@ class RvmRls(ForgettingFactorCore):
         if rejected and self.rejected_update == "skip":
             self.step_index_ += 1
             mismatch = self.sigma2_hat_ - self.sigma2_target_
-            return StepOutput(
-                prediction=prediction,
-                residual=raw_residual,
-                rejected=True,
-                lambda_after=self.lambda_,
-                sigma2_hat_after=self.sigma2_hat_,
-                cost=self.cost_gain * mismatch * mismatch,
-                gradient=0.0,
+            cost = self.cost_gain * mismatch * mismatch
+            gradient = 0.0
+        else:
+            residual = 0.0 if rejected else raw_residual
+            self.sigma2_hat_, cost, gradient = variance_cost(
+                self.sigma2_hat_, residual, self.lambda_,
+                self.cost_gain, self.sigma2_target_,
             )
-
-        residual = 0.0 if rejected else raw_residual
-        sigma2_next, cost, gradient = variance_cost(
-            self.sigma2_hat_, residual, self.lambda_,
-            self.cost_gain, self.sigma2_target_,
-        )
-        self.sigma2_hat_ = sigma2_next
-        self.lambda_ = min(
-            max(self.lambda_ - self.step_size * gradient, self.lambda_min),
-            self.lambda_max,
-        )
-        gain = self._gain_update(phi, self.lambda_)
-        self.theta_ = self.theta_ + gain * residual
-        if not np.isfinite(self.theta_).all():
-            raise NumericalDivergenceError(
-                "parameter vector became non-finite", self.step_index_
-            )
-        self.step_index_ += 1
+            self.lambda_ = self._clip_lambda(self.lambda_ - self.step_size * gradient)
+            self._absorb(phi, self.lambda_, residual)
         return StepOutput(
             prediction=prediction,
             residual=raw_residual,

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from terrafilter import (BootstrapParticleFilter, GvffRls, InvalidInputError,
-                         NormalizedLms, RvmRls, StaticRls,
-                         batch_least_squares, max_error, mse)
+                         NormalizedLms, NumericalDivergenceError, RvmRls,
+                         StaticRls, batch_least_squares, max_error, mse,
+                         poly_basis)
 
 ALL_FILTERS = [
     lambda: RvmRls(target_noise_variance=0.09),
@@ -12,6 +15,16 @@ ALL_FILTERS = [
     lambda: GvffRls(),
     lambda: BootstrapParticleFilter(seed=0),
 ]
+FILTER_IDS = ["rvm_rls", "rls", "lms", "gvff_rls", "pf"]
+
+# The RLS family at one fixed forgetting factor ``lam``.
+RLS_FAMILY = {
+    "rls": lambda lam: StaticRls(forgetting=lam),
+    "gvff_rls": lambda lam: GvffRls(lambda_min=lam, lambda_max=lam,
+                                    lambda_init=lam),
+    "rvm_rls": lambda lam: RvmRls(lambda_min=lam, lambda_max=lam,
+                                  lambda_init=lam, outlier_gate=False),
+}
 
 
 class TestNormalizedLms:
@@ -32,6 +45,15 @@ class TestNormalizedLms:
         for j in range(30, 50):
             errors.append(abs(f.step(float(j), 3.0) - 3.0))
         assert all(e1 > e2 for e1, e2 in zip(errors, errors[1:]))
+
+    def test_divergence_raises(self, benchmark_trace_outliers):
+        # mu = 5 multiplies the level error by -4 every step; the first
+        # non-finite prediction is output 514
+        trace = benchmark_trace_outliers
+        with pytest.raises(NumericalDivergenceError,
+                           match="prediction became non-finite") as err:
+            NormalizedLms(mu=5).run(trace.times, trace.measurement)
+        assert err.value.step_index == 100 + 514
 
     def test_benchmark_scenario_band(self, benchmark_trace_clean):
         f = NormalizedLms()
@@ -98,6 +120,66 @@ class TestGvffRls:
         assert max_error(preds, benchmark_trace_outliers.reference[100:]) > 5.0
 
 
+class TestSharedKernel:
+    @pytest.mark.parametrize("trace_fixture", ["benchmark_trace_outliers",
+                                               "benchmark_trace_clean"])
+    def test_rvm_rls_with_frozen_lambda_and_no_gate_is_static_rls(
+            self, trace_fixture, request):
+        trace = request.getfixturevalue(trace_fixture)
+        rls = StaticRls(forgetting=0.9, covariance_init="residual")
+        rvm = RvmRls(lambda_min=0.9, lambda_max=0.9, lambda_init=0.9,
+                     outlier_gate=False)
+        assert np.array_equal(rls.run(trace.times, trace.measurement),
+                              rvm.run(trace.times, trace.measurement))
+
+    def test_gain_update_rounds_like_outer_product_form(
+            self, benchmark_trace_outliers):
+        # reference: the factor update as written before the fast path;
+        # RvmRls's "residual" init starts from an F-ordered factor, so both
+        # memory orders of L are covered
+        trace = benchmark_trace_outliers
+        f = RvmRls().fit(trace.times[:100], trace.measurement[:100])
+        lam = 0.9
+        L = f.L_
+        for t in trace.times[100:400]:
+            phi = poly_basis(t / f.scale_divisor, f.degree)
+            v = L.T @ phi
+            vv = float(v @ v)
+            denom = lam + vv
+            Lv = L @ v
+            beta = (1.0 - math.sqrt(lam / denom)) / vv
+            L = (L - beta * np.outer(Lv, v)) / math.sqrt(lam)
+            assert np.array_equal(f._gain_update(phi, lam), Lv / denom)
+            assert np.array_equal(f.L_, L)
+
+    @pytest.mark.parametrize("case", ["prediction", "denominator", "gain",
+                                      "parameter"])
+    @pytest.mark.parametrize("name", list(RLS_FAMILY))
+    def test_divergence_guards(self, name, case, benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        lam = 1e-13 if case == "denominator" else 0.9
+        f = RLS_FAMILY[name](lam).fit(trace.times[:100], trace.measurement[:100])
+        y = trace.measurement[100]
+        if case == "prediction":
+            f.theta_ = np.full_like(f.theta_, np.inf)
+        elif case == "denominator":
+            f.L_ = np.zeros_like(f.L_)
+        elif case == "gain":
+            f.L_ = f.L_ * 1e160
+        else:
+            y = 1.7e308  # finite, so the clock accepts it; theta overflows
+        # the last two cases overflow on purpose, and numpy's overflow
+        # warning is not what is under test
+        message = {"prediction": "prediction became non-finite",
+                   "denominator": "gain denominator collapsed",
+                   "gain": "gain became non-finite",
+                   "parameter": "parameter vector became non-finite"}[case]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalDivergenceError, match=message) as err:
+            f.step(trace.times[100], y)
+        assert err.value.step_index == 100
+
+
 class TestBootstrapParticleFilter:
     def test_degenerate_consensus(self):
         t = np.arange(30.0)
@@ -148,14 +230,25 @@ class TestBootstrapParticleFilter:
 
 class TestInterfaceUniformity:
     @pytest.mark.parametrize("bad", [0.0, -100.0, np.nan, np.inf])
-    @pytest.mark.parametrize("make", ALL_FILTERS,
-                             ids=["rvm_rls", "rls", "lms", "gvff_rls", "pf"])
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
     def test_bad_scale_divisor_rejected_at_fit(self, make, bad,
                                                benchmark_trace_outliers):
         trace = benchmark_trace_outliers
         f = make().set_params(scale_divisor=bad)
         with pytest.raises(InvalidInputError, match="scale_divisor"):
             f.fit(trace.times[:f.init_window], trace.measurement[:f.init_window])
+
+    @pytest.mark.parametrize("param", ["degree", "init_window"])
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_float_integer_param_rejected(self, make, param,
+                                          benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        f = make()
+        f.set_params(**{param: float(getattr(f, param))})
+        with pytest.raises(InvalidInputError, match=param):
+            f.run(trace.times, trace.measurement)
+        with pytest.raises(InvalidInputError, match=param):
+            f.fit(trace.times[:100], trace.measurement[:100])
 
     def test_one_prediction_per_post_init_sample(self, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
