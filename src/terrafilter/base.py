@@ -9,6 +9,7 @@ round-trip them, fitted state lives in trailing-underscore attributes, and
 import inspect
 import math
 import numbers
+import typing
 
 import numpy as np
 
@@ -72,20 +73,25 @@ class StreamingFilter:
         if not getattr(self, "is_fitted_", False):
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
 
-    def _check_integer_params(self):
-        for name in ("degree", "init_window"):
+    def _validate_params(self):
+        """Check the hyperparameters: each one annotated ``int`` must hold
+        an integer, and each subclass chains its own checks onto this. Every
+        ``fit`` and ``run`` calls it, no step does."""
+        for name, tp in typing.get_type_hints(type(self).__init__).items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-
-    def _validate_window(self, times, measurements):
-        """Check the ``fit`` inputs and the shared hyperparameters; every
-        filter's fit passes through here, no step does."""
-        self._check_integer_params()
+        if self.degree < 0 or self.init_window < self.degree + 2:
+            raise InvalidInputError("init_window must be at least degree + 2")
         if not (math.isfinite(self.scale_divisor) and self.scale_divisor > 0):
             raise InvalidInputError(
                 f"scale_divisor must be a positive finite number, got {self.scale_divisor!r}"
             )
+
+    def _validate_window(self, times, measurements):
+        """Check the hyperparameters and the ``fit`` inputs; every filter's
+        fit passes through here, no step does."""
+        self._validate_params()
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
         if times.ndim != 1 or times.shape != measurements.shape:
@@ -126,7 +132,7 @@ class StreamingFilter:
         ``step(t, y)`` for each remaining sample, in order."""
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
-        self._check_integer_params()
+        self._validate_params()
         n0 = self.init_window
         if len(times) < n0:
             raise InvalidInputError(
@@ -157,18 +163,20 @@ class ForgettingFactorCore(StreamingFilter):
     but survives condition numbers whose explicit-P form loses to roundoff.
     """
 
+    def _validate_params(self):
+        super()._validate_params()
+        if self.covariance_init not in ("residual", "gram"):
+            raise InvalidInputError("covariance_init must be 'residual' or 'gram', "
+                                    f"got {self.covariance_init!r}")
+
     def _init_from_window(self, times, measurements):
         times, measurements = self._validate_window(times, measurements)
         taus = times / self.scale_divisor
         fit = batch_least_squares(taus, measurements, self.degree)
         if self.covariance_init == "residual":
             self.L_ = math.sqrt(fit.residual_variance) * fit.gram_inverse_root
-        elif self.covariance_init == "gram":
-            self.L_ = fit.gram_inverse_root.copy()
         else:
-            raise InvalidInputError(
-                f"covariance_init must be 'residual' or 'gram', got {self.covariance_init!r}"
-            )
+            self.L_ = fit.gram_inverse_root.copy()
         self.theta_ = fit.theta.copy()
         self.last_time_ = float(times[-1])
         self.step_index_ = len(times)

@@ -34,6 +34,13 @@ class NormalizedLms(StreamingFilter):
         self.init_window = init_window
         self.scale_divisor = scale_divisor
 
+    def _validate_params(self):
+        super()._validate_params()
+        if not (0.0 < self.mu < 2.0):
+            raise InvalidInputError(f"mu must lie in (0, 2), got {self.mu!r}")
+        if not (math.isfinite(self.eps) and self.eps > 0):
+            raise InvalidInputError(f"eps must be finite and positive, got {self.eps!r}")
+
     def fit(self, times, measurements):
         times, measurements = self._validate_window(times, measurements)
         taus = times / self.scale_divisor
@@ -69,9 +76,12 @@ class StaticRls(ForgettingFactorCore):
         self.scale_divisor = scale_divisor
         self.covariance_init = covariance_init
 
-    def fit(self, times, measurements):
+    def _validate_params(self):
+        super()._validate_params()
         if not (0.0 < self.forgetting <= 1.0):
             raise InvalidInputError("forgetting must lie in (0, 1]")
+
+    def fit(self, times, measurements):
         self._init_from_window(times, measurements)
         return self
 
@@ -109,11 +119,14 @@ class GvffRls(ForgettingFactorCore):
         self.scale_divisor = scale_divisor
         self.covariance_init = covariance_init
 
-    def fit(self, times, measurements):
+    def _validate_params(self):
+        super()._validate_params()
         if not (0.0 < self.lambda_min <= self.lambda_init <= self.lambda_max <= 1.0):
             raise InvalidInputError(
                 "need 0 < lambda_min <= lambda_init <= lambda_max <= 1"
             )
+
+    def fit(self, times, measurements):
         self._init_from_window(times, measurements)
         n = self.degree + 1
         self.lambda_ = self.lambda_init
@@ -166,15 +179,18 @@ class BootstrapParticleFilter(StreamingFilter):
         self.init_window = init_window
         self.scale_divisor = scale_divisor
 
-    def fit(self, times, measurements):
+    def _validate_params(self):
+        super()._validate_params()
         if self.particle_count < 2:
             raise InvalidInputError("particle_count must be at least 2")
-        if self.process_std < 0 or self.measurement_std <= 0:
+        if not (math.isfinite(self.process_std) and self.process_std >= 0
+                and math.isfinite(self.measurement_std) and self.measurement_std > 0):
             raise InvalidInputError(
-                "process_std must be >= 0 and measurement_std > 0"
-            )
+                "process_std must be finite and >= 0, measurement_std finite and > 0")
         if not (0.0 < self.resample_threshold <= 1.0):
             raise InvalidInputError("resample_threshold must lie in (0, 1]")
+
+    def fit(self, times, measurements):
         times, measurements = self._validate_window(times, measurements)
         taus = times / self.scale_divisor
         fit = batch_least_squares(taus, measurements, self.degree)

@@ -4,13 +4,17 @@ metric reports, timing, and plot-ready data files.
 
 import csv
 import hashlib
+import inspect
 import io
 import json
+import math
 import os
 import re
 import time
+import types
+import typing
 from collections import Counter
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +25,7 @@ from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, max_error, mse, reports_to_csv, time_step,
                       variance_ratio)
 from .rvm_rls import RvmRls
-from .scenario import (ScenarioConfig, TerrainParams, synthesize, write_columns,
-                       write_trace_csv)
+from .scenario import ScenarioConfig, synthesize, write_columns, write_trace_csv
 
 FILTER_KINDS = {
     "rvm_rls": RvmRls,
@@ -40,8 +43,9 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """A named filter construction recipe. ``params`` are constructor
-    arguments; the value "scenario" for target_noise_variance resolves to
-    each scenario's true noise variance at run time."""
+    arguments, typed by the filter's ``__init__`` annotations; the value
+    "scenario" for target_noise_variance resolves to each scenario's true
+    noise variance at run time."""
 
     name: str
     kind: str
@@ -50,27 +54,37 @@ class AlgorithmSpec:
 
 @dataclass
 class ExperimentConfig:
-    scenarios: list
-    algorithms: list
-    seeds: list
+    scenarios: list[ScenarioConfig]
+    algorithms: list[AlgorithmSpec]
+    seeds: list[int]
     output_dir: str = "bench_out"
     emit_traces: bool = True
 
     def validate(self):
+        """Check what the field types cannot. Each algorithm's params are
+        typed by its filter's ``__init__`` annotations and checked by the
+        filter's ``_validate_params``, once per scenario."""
         if not self.scenarios or not self.algorithms or not self.seeds:
-            raise ConfigError("scenarios, algorithms, and seeds must be non-empty")
-        names = [a.name for a in self.algorithms]
-        if len(set(names)) != len(names):
-            raise ConfigError("algorithm names must be unique")
-        scen_names = [s.name for s in self.scenarios]
-        if len(set(scen_names)) != len(scen_names):
-            raise ConfigError("scenario names must be unique")
-        for name in names + scen_names:
-            if not _NAME_RE.match(name):
-                raise ConfigError(f"name {name!r} is not filesystem-safe")
-        for a in self.algorithms:
-            if a.kind not in FILTER_KINDS:
-                raise ConfigError(f"unknown algorithm kind {a.kind!r}")
+            raise ConfigError("config: scenarios, algorithms, and seeds must be non-empty")
+        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+            raise ConfigError(
+                f"config.seeds: seeds must be distinct and non-negative, got {self.seeds}")
+        for key in ("scenarios", "algorithms"):
+            names = [item.name for item in getattr(self, key)]
+            if len(set(names)) != len(names) or not all(map(_NAME_RE.match, names)):
+                raise ConfigError(
+                    f"config.{key}: names must be unique and filesystem-safe, got {names}")
+        for i, spec in enumerate(self.algorithms):
+            path = f"config.algorithms[{i}]"
+            cls = FILTER_KINDS.get(spec.kind)
+            if cls is None:
+                raise ConfigError(f"{path}.kind: unknown algorithm kind {spec.kind!r}")
+            for scenario in self.scenarios:
+                params = _filter_params(spec, scenario, self.seeds[0])
+                try:
+                    _build(params, cls, f"{path}.params")._validate_params()
+                except InvalidInputError as exc:
+                    raise ConfigError(f"{path}.params: {exc}") from exc
         return self
 
 
@@ -102,113 +116,89 @@ class RunManifest:
         return [c for c in self.timing if c.status != "ok"]
 
 
-def build_filter(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int):
-    """Instantiate the filter for one cell, resolving per-scenario params."""
+def _filter_params(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int) -> dict:
+    """One cell's constructor arguments, with per-scenario params resolved."""
     params = dict(spec.params)
     if params.get("target_noise_variance") == "scenario":
         params["target_noise_variance"] = scenario.noise_variance
-    cls = FILTER_KINDS[spec.kind]
     if spec.kind == "pf":
         params["seed"] = seed
+    return params
+
+
+def build_filter(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int):
+    """Instantiate the filter for one cell of a validated config."""
+    return FILTER_KINDS[spec.kind](**_filter_params(spec, scenario, seed))
+
+
+# -- configuration files: the dataclasses are the schema ------------------
+
+
+def _expect(ok: bool, path: str, expected: str, value) -> None:
+    if not ok:
+        raise ConfigError(f"{path}: expected {expected}, got {value!r}")
+
+
+def _build(value, tp, path: str):
+    """Build a value of annotated type ``tp`` from parsed JSON: an int takes
+    only an integer, a float an integer or a finite number (stored as
+    float), a bool, str or dict only its own type, and a class (a dataclass
+    or a filter) an object of its constructor's parameters, each typed by
+    its annotation. A mismatch is a ConfigError naming the path."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (types.UnionType, typing.Union):  # ``T | None``
+        return None if value is None else _build(value, args[0], path)
+    if origin is list:
+        _expect(isinstance(value, list), path, "a list", value)
+        return [_build(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin is tuple:
+        _expect(isinstance(value, list) and len(value) == len(args), path,
+                f"a list of {len(args)} items", value)
+        return tuple(_build(v, a, f"{path}[{i}]")
+                     for i, (v, a) in enumerate(zip(value, args)))
+    if tp is float:
+        _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
+                and math.isfinite(value), path, "a finite number", value)
+        return float(value)
+    if tp in (int, bool, str, dict):
+        _expect(type(value) is tp, path, tp.__name__, value)
+        return value
+    _expect(isinstance(value, dict), path, "an object", value)
+    params = inspect.signature(tp).parameters
+    errors = [f"{path}.{k}: unknown key" for k in sorted(set(value) - set(params))]
+    errors += [f"{path}.{k}: missing" for k, p in params.items()
+               if k not in value and p.default is p.empty]
+    if errors:
+        raise ConfigError("; ".join(errors))
+    hints = typing.get_type_hints(tp.__init__)
     try:
-        return cls(**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad params for algorithm {spec.name!r}: {exc}") from exc
+        return tp(**{k: _build(v, hints[k], f"{path}.{k}") for k, v in value.items()})
+    except InvalidInputError as exc:  # a dataclass's __post_init__ checks
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
-def default_experiment_config(output_dir: str = "bench_out",
-                              seeds=tuple(range(10))) -> ExperimentConfig:
-    """The benchmark matrix: the default terrain with and without outliers,
-    all five algorithms, ten seeds."""
-    base = ScenarioConfig(name="terrain_outliers", outlier_fraction=0.10)
-    clean = replace(base, name="terrain_clean", outlier_fraction=0.0)
-    algorithms = [
-        AlgorithmSpec("rvm_rls", "rvm_rls", {"target_noise_variance": "scenario"}),
-        AlgorithmSpec("rls", "rls", {}),
-        AlgorithmSpec("lms", "lms", {}),
-        AlgorithmSpec("gvff_rls", "gvff_rls", {}),
-        AlgorithmSpec("pf", "pf", {}),
-    ]
-    return ExperimentConfig(
-        scenarios=[base, clean],
-        algorithms=algorithms,
-        seeds=list(seeds),
-        output_dir=output_dir,
-    ).validate()
-
-
-# -- configuration files -------------------------------------------------
-
-
-def _take(mapping: dict, allowed: dict, context: str) -> dict:
-    unknown = set(mapping) - set(allowed)
-    if unknown:
-        raise ConfigError(f"unknown keys in {context}: {sorted(unknown)}")
-    out = {}
-    for key, caster in allowed.items():
-        if key in mapping:
-            out[key] = caster(mapping[key]) if caster else mapping[key]
-    return out
+def read_json(path):
+    """Parse a JSON file; malformed JSON is a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def parse_scenario(d: dict) -> ScenarioConfig:
-    if not isinstance(d, dict):
-        raise ConfigError("each scenario must be an object")
-    terrain_d = d.get("terrain", {})
-    terrain = TerrainParams(**_take(terrain_d, {
-        "amplitude": float, "center": float, "envelope_sigma": float,
-        "omega": float, "phase": float,
-    }, "scenario.terrain"))
-    kwargs = _take(d, {
-        "name": str, "sample_count": int, "clearance": float,
-        "noise_variance": float, "outlier_fraction": float,
-        "outlier_band": lambda v: tuple(float(x) for x in v),
-        "clean_prefix": int, "seed": int, "terrain": None,
-    }, "scenario")
-    kwargs.pop("terrain", None)
-    return ScenarioConfig(terrain=terrain, **kwargs)
-
-
-def _parse_algorithm(d: dict) -> AlgorithmSpec:
-    if not isinstance(d, dict):
-        raise ConfigError("each algorithm must be an object")
-    kwargs = _take(d, {"name": str, "kind": str, "params": None}, "algorithm")
-    if "name" not in kwargs or "kind" not in kwargs:
-        raise ConfigError("algorithm entries need 'name' and 'kind'")
-    params = kwargs.get("params", {}) or {}
-    if not isinstance(params, dict):
-        raise ConfigError("algorithm params must be an object")
-    return AlgorithmSpec(kwargs["name"], kwargs["kind"], params)
+    return _build(d, ScenarioConfig, "scenario")
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a versioned JSON experiment config. Unknown keys
-    anywhere are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    if raw.get("version") != CONFIG_VERSION:
-        raise ConfigError(
-            f"config version must be {CONFIG_VERSION}, got {raw.get('version')!r}"
-        )
-    top = _take(raw, {
-        "version": int, "output_dir": str, "emit_traces": bool,
-        "seeds": list, "scenarios": None, "algorithms": None,
-    }, "config")
-    scenarios = [parse_scenario(s) for s in top.get("scenarios", [])]
-    algorithms = [_parse_algorithm(a) for a in top.get("algorithms", [])]
-    cfg = ExperimentConfig(
-        scenarios=scenarios,
-        algorithms=algorithms,
-        seeds=[int(s) for s in top.get("seeds", [])],
-        output_dir=top.get("output_dir", "bench_out"),
-        emit_traces=top.get("emit_traces", True),
-    )
-    return cfg.validate()
+    """Parse and validate a versioned JSON experiment config; the
+    ExperimentConfig dataclasses are its schema."""
+    raw = read_json(path)
+    _expect(isinstance(raw, dict), "config", "an object", raw)
+    version = raw.pop("version", None)
+    _expect(type(version) is int and version == CONFIG_VERSION, "config.version",
+            str(CONFIG_VERSION), version)
+    return _build(raw, ExperimentConfig, "config").validate()
 
 
 def config_hash(config: ExperimentConfig) -> str:

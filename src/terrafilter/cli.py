@@ -10,11 +10,10 @@ configuration error.
 """
 
 import argparse
-import json
 import os
 import sys
 
-from .bench import (load_config, median_reports, parse_scenario,
+from .bench import (load_config, median_reports, parse_scenario, read_json,
                     render_table, run_experiments)
 from .exceptions import ConfigError, TerraFilterError
 from .metrics import reports_from_csv
@@ -54,7 +53,6 @@ def _cmd_run(args) -> int:
     if args.no_traces:
         config.emit_traces = False
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
-    config.validate()
 
     manifest = run_experiments(config, out_dir=out_dir)
     _print_tables(os.path.join(out_dir, "reports.csv"))
@@ -86,13 +84,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    with open(args.scenario, encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"scenario config is not valid JSON: {exc}") from exc
-    scenario = parse_scenario(raw)
-    trace = synthesize(scenario)
+    trace = synthesize(parse_scenario(read_json(args.scenario)))
     write_trace_csv(trace, args.out)
     print(f"wrote {len(trace)} samples to {args.out}")
     return 0

@@ -9,17 +9,17 @@ mean single-step wall time.
 import csv
 import io
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .exceptions import InvalidInputError, UndefinedRatioError
 
-REPORT_FIELDS = ["algorithm", "sr_ms", "mse", "vr", "me", "scenario_id", "seed"]
-
 
 @dataclass
 class MetricsReport:
+    """One reports.csv row; the fields, in order, are its columns."""
+
     algorithm: str
     sr_ms: float
     mse: float
@@ -27,6 +27,9 @@ class MetricsReport:
     me: float
     scenario_id: str
     seed: int
+
+
+REPORT_FIELDS = [f.name for f in fields(MetricsReport)]
 
 
 def _check_pair(pred, ref):
@@ -127,22 +130,12 @@ def reports_to_csv(reports) -> str:
 
 
 def reports_from_csv(text: str):
-    """Parse a reports file back into MetricsReport records."""
+    """Parse a reports file back into MetricsReport records, each column
+    cast to its field's type."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != REPORT_FIELDS:
         raise InvalidInputError(f"unexpected reports header: {header}")
-    out = []
-    for row in reader:
-        if not row:
-            continue
-        out.append(MetricsReport(
-            algorithm=row[0],
-            sr_ms=float(row[1]),
-            mse=float(row[2]),
-            vr=float(row[3]),
-            me=float(row[4]),
-            scenario_id=row[5],
-            seed=int(row[6]),
-        ))
-    return out
+    casts = [f.type for f in fields(MetricsReport)]
+    return [MetricsReport(*(cast(v) for cast, v in zip(casts, row)))
+            for row in reader if row]

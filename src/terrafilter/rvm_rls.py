@@ -109,12 +109,11 @@ class RvmRls(ForgettingFactorCore):
         self.rejected_update = rejected_update
 
     def _validate_params(self):
+        super()._validate_params()
         if not (0.0 < self.lambda_min <= self.lambda_max <= 1.0):
             raise InvalidInputError("need 0 < lambda_min <= lambda_max <= 1")
         if self.step_size <= 0 or self.cost_gain <= 0:
             raise InvalidInputError("step_size and cost_gain must be positive")
-        if self.degree < 0 or self.init_window < self.degree + 2:
-            raise InvalidInputError("init_window must be at least degree + 2")
         if self.target_noise_variance is not None and self.target_noise_variance < 0:
             raise InvalidInputError("target_noise_variance must be non-negative")
         if self.rejected_update not in ("skip", "recurse"):
@@ -124,7 +123,6 @@ class RvmRls(ForgettingFactorCore):
         """Initialize from exactly ``init_window`` samples via batch least
         squares: theta and the covariance factor from the window fit, the
         residual-variance estimate from the fit's SSE / (n - degree - 1)."""
-        self._validate_params()
         if len(times) != self.init_window:
             raise InvalidInputError(
                 f"fit expects exactly init_window={self.init_window} samples, "

@@ -58,7 +58,7 @@ class ScenarioConfig:
     clearance: float = 20.0
     noise_variance: float = 0.09
     outlier_fraction: float = 0.10
-    outlier_band: tuple = (-30.0, 30.0)
+    outlier_band: tuple[float, float] = (-30.0, 30.0)
     clean_prefix: int = 100
     seed: int = 0
     terrain: TerrainParams = field(default_factory=TerrainParams)
@@ -77,6 +77,8 @@ class ScenarioConfig:
             )
         if not (0 <= self.clean_prefix < self.sample_count):
             raise InvalidInputError("clean_prefix must lie in [0, sample_count)")
+        if self.seed < 0:
+            raise InvalidInputError("seed must be non-negative")
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)

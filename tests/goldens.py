@@ -21,6 +21,8 @@ from pathlib import Path
 import numpy as np
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+# the default matrix: two scenarios, five algorithms, ten seeds
+BENCHMARK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
 REPORTS_GOLDEN = GOLDEN_DIR / "reports_default.csv"
 SMALL_GOLDEN = GOLDEN_DIR / "small_outputs.json"
 
@@ -63,13 +65,13 @@ def mismatch_note() -> str:
 
 
 def _write():
-    from terrafilter.bench import default_experiment_config, run_experiments
+    from terrafilter.bench import load_config, run_experiments
     from test_bench import small_config
 
     with tempfile.TemporaryDirectory() as tmp:
-        config = default_experiment_config(str(Path(tmp) / "matrix"))
+        config = load_config(BENCHMARK_CONFIG)
         config.emit_traces = False
-        run_experiments(config)
+        run_experiments(config, Path(tmp) / "matrix")
         reports = (Path(tmp) / "matrix" / "reports.csv").read_text(encoding="utf-8")
         REPORTS_GOLDEN.write_text(strip_timing(reports), encoding="utf-8")
 

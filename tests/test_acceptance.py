@@ -18,10 +18,10 @@ import pytest
 from terrafilter import (RvmRls, ScenarioConfig, StaticRls,
                          batch_least_squares, improvement, synthesize,
                          variance_cost, waypoint_std)
-from terrafilter.bench import default_experiment_config, run_experiments
+from terrafilter.bench import load_config, run_experiments
 from terrafilter.metrics import reports_from_csv
 
-from goldens import REPORTS_GOLDEN, mismatch_note, strip_timing
+from goldens import BENCHMARK_CONFIG, REPORTS_GOLDEN, mismatch_note, strip_timing
 
 SEEDS = list(range(10))
 OUTLIER = "terrain_outliers"
@@ -50,9 +50,9 @@ def _value(reports, scenario, algorithm, seed, metric):
 @pytest.fixture(scope="session")
 def matrix(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_matrix")
-    config = default_experiment_config(str(out), seeds=SEEDS)
+    config = load_config(BENCHMARK_CONFIG)
     config.emit_traces = False
-    manifest = run_experiments(config)
+    manifest = run_experiments(config, out)
     text = (out / "reports.csv").read_text()
     return SimpleNamespace(out=out, config=config, manifest=manifest,
                            text=text, reports=reports_from_csv(text))
@@ -243,9 +243,9 @@ def test_criterion_10_determinism(matrix, tmp_path_factory):
     """Byte-identical reports on rerun. Wall-clock columns (sr_ms) are
     excluded along with timestamps; everything else must match exactly."""
     out2 = tmp_path_factory.mktemp("acceptance_rerun")
-    config = default_experiment_config(str(out2), seeds=SEEDS)
+    config = load_config(BENCHMARK_CONFIG)
     config.emit_traces = False
-    run_experiments(config)
+    run_experiments(config, out2)
 
     def strip_sr(text):
         lines = text.strip().split("\n")

@@ -48,12 +48,25 @@ class TestNormalizedLms:
 
     def test_divergence_raises(self, benchmark_trace_outliers):
         # mu = 5 multiplies the level error by -4 every step; the first
-        # non-finite prediction is output 514
+        # non-finite prediction is output 514. fit rejects mu = 5, so it is
+        # set on the fitted filter to reach the step guard.
         trace = benchmark_trace_outliers
+        f = NormalizedLms().fit(trace.times[:100], trace.measurement[:100])
+        f.mu = 5
         with pytest.raises(NumericalDivergenceError,
                            match="prediction became non-finite") as err:
-            NormalizedLms(mu=5).run(trace.times, trace.measurement)
+            for t, y in zip(trace.times[100:], trace.measurement[100:]):
+                f.step(t, y)
         assert err.value.step_index == 100 + 514
+
+    @pytest.mark.parametrize("bad", [{"mu": 5}, {"mu": -1}, {"mu": np.nan},
+                                     {"eps": -1}],
+                             ids=["mu=5", "mu=-1", "mu=nan", "eps=-1"])
+    def test_parameters_checked_at_fit(self, bad, benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        name = next(iter(bad))
+        with pytest.raises(InvalidInputError, match=name):
+            NormalizedLms(**bad).fit(trace.times[:100], trace.measurement[:100])
 
     def test_benchmark_scenario_band(self, benchmark_trace_clean):
         f = NormalizedLms()
@@ -226,6 +239,11 @@ class TestBootstrapParticleFilter:
         with pytest.raises(InvalidInputError):
             BootstrapParticleFilter(measurement_std=0.0).fit(
                 np.arange(30.0), np.zeros(30))
+        for bad in ({"particle_count": 100.0}, {"process_std": np.nan},
+                    {"process_std": np.inf}, {"measurement_std": np.nan},
+                    {"measurement_std": np.inf}):
+            with pytest.raises(InvalidInputError, match=next(iter(bad))):
+                BootstrapParticleFilter(**bad).fit(np.arange(100.0), np.zeros(100))
 
 
 class TestInterfaceUniformity:

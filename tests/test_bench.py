@@ -8,13 +8,13 @@ import pytest
 from terrafilter import ConfigError, MetricsReport, ScenarioConfig, synthesize
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
-                               default_experiment_config, load_config,
-                               median_reports, render_table, run_cell,
-                               run_experiments)
+                               load_config, median_reports, render_table,
+                               run_cell, run_experiments)
 from terrafilter.cli import main
 from terrafilter.metrics import reports_from_csv, reports_to_csv
 
-from goldens import SMALL_GOLDEN, mismatch_note, output_digests, strip_timing
+from goldens import (BENCHMARK_CONFIG, SMALL_GOLDEN, mismatch_note,
+                     output_digests, strip_timing)
 
 ALGOS = [
     AlgorithmSpec("rvm_rls", "rvm_rls", {"target_noise_variance": "scenario"}),
@@ -83,7 +83,8 @@ class TestRunExperiments:
         assert fig4 == fig5
 
     def test_crash_isolation(self, tmp_path):
-        bad = AlgorithmSpec("broken", "rvm_rls", {"init_window": 3})
+        # valid params, but a window longer than the 300-sample trace
+        bad = AlgorithmSpec("broken", "rvm_rls", {"init_window": 400})
         config = small_config(tmp_path / "a", algorithms=ALGOS[:2] + [bad],
                               emit_traces=False)
         manifest = run_experiments(config)
@@ -151,6 +152,64 @@ class TestRenderTable:
         assert med[0].mse == pytest.approx(0.2)
 
 
+def _set(*keys, value):
+    """A mutation of a parsed config: set the item at the ``keys`` path."""
+    def mutate(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return mutate
+
+
+def _drop_kind(payload):
+    del payload["algorithms"][0]["kind"]
+
+
+# Each case mutates configs/benchmark.json (algorithms: rvm_rls, rls, lms,
+# gvff_rls, pf) and names the text the ConfigError must contain.
+REJECTED = {
+    "sample_count_fraction": (_set("scenarios", 0, "sample_count", value=2000.7),
+                              ["config.scenarios[0].sample_count"]),
+    "sample_count_bool": (_set("scenarios", 0, "sample_count", value=True),
+                          ["config.scenarios[0].sample_count"]),
+    "emit_traces_string": (_set("emit_traces", value="false"),
+                           ["config.emit_traces"]),
+    "seeds_fractions": (_set("seeds", value=[0.5, 1.9]), ["config.seeds[0]"]),
+    "seeds_duplicate": (_set("seeds", value=[0, 0]), ["config.seeds", "distinct"]),
+    "seeds_negative": (_set("seeds", value=[-1]), ["config.seeds", "non-negative"]),
+    "seeds_string": (_set("seeds", value="abc"), ["config.seeds"]),
+    "clearance_nan_string": (_set("scenarios", 0, "clearance", value="nan"),
+                             ["config.scenarios[0].clearance"]),
+    "clearance_json_nan": (_set("scenarios", 0, "clearance", value=float("nan")),
+                           ["config.scenarios[0].clearance"]),
+    "name_integer": (_set("scenarios", 0, "name", value=5),
+                     ["config.scenarios[0].name"]),
+    "outlier_band_three_items": (
+        _set("scenarios", 0, "outlier_band", value=[-30.0, 0.0, 30.0]),
+        ["config.scenarios[0].outlier_band"]),
+    "scenario_seed_negative": (_set("scenarios", 0, "seed", value=-1),
+                               ["config.scenarios[0]", "seed"]),
+    "kind_missing": (_drop_kind, ["config.algorithms[0].kind"]),
+    "particle_count_float": (
+        _set("algorithms", 4, "params", value={"particle_count": 100.0}),
+        ["config.algorithms[4].params.particle_count"]),
+    "process_std_nan": (
+        _set("algorithms", 4, "params", value={"process_std": float("nan")}),
+        ["config.algorithms[4].params.process_std"]),
+    "lms_mu_5": (_set("algorithms", 2, "params", value={"mu": 5}),
+                 ["config.algorithms[2].params", "mu"]),
+    "lms_mu_negative": (_set("algorithms", 2, "params", value={"mu": -1}),
+                        ["config.algorithms[2].params", "mu"]),
+    "lms_mu_nan": (_set("algorithms", 2, "params", value={"mu": float("nan")}),
+                   ["config.algorithms[2].params.mu"]),
+    "lms_eps_negative": (_set("algorithms", 2, "params", value={"eps": -1}),
+                         ["config.algorithms[2].params", "eps"]),
+    "unknown_param": (_set("algorithms", 2, "params", value={"bogus": 1}),
+                      ["config.algorithms[2].params.bogus"]),
+}
+
+
 class TestConfigFiles:
     def _dump(self, tmp_path, payload, name="config.json"):
         path = tmp_path / name
@@ -193,6 +252,16 @@ class TestConfigFiles:
         with pytest.raises(ConfigError):
             load_config(self._dump(tmp_path, payload))
 
+    @pytest.mark.parametrize("case", list(REJECTED))
+    def test_rejected_case_names_its_field(self, case, tmp_path):
+        mutate, expected = REJECTED[case]
+        payload = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
+        mutate(payload)
+        with pytest.raises(ConfigError) as err:
+            load_config(self._dump(tmp_path, payload))
+        for text in expected:
+            assert text in str(err.value)
+
     def test_duplicate_names_rejected(self, tmp_path):
         payload = self._payload()
         payload["algorithms"] = [{"name": "x", "kind": "lms"},
@@ -215,17 +284,19 @@ class TestConfigFiles:
         assert config_hash(a) != config_hash(b)
 
     def test_default_config_is_valid(self):
-        cfg = default_experiment_config()
+        cfg = load_config(BENCHMARK_CONFIG)
         assert len(cfg.scenarios) == 2
         assert len(cfg.algorithms) == 5
         assert cfg.seeds == list(range(10))
 
-    def test_shipped_benchmark_config_matches_default(self):
-        # configs/benchmark.json must never drift from the in-code default
-        from pathlib import Path
-        path = Path(__file__).resolve().parent.parent / "configs" / "benchmark.json"
-        shipped = load_config(str(path))
-        assert config_hash(shipped) == config_hash(default_experiment_config())
+    @pytest.mark.parametrize("path, digest", [
+        (BENCHMARK_CONFIG,
+         "f173fd4b53301799130cc1a1e01939473d1b78c000c9b38a13f967b51878f27f"),
+        (BENCHMARK_CONFIG.parent.parent / "perfbench" / "figures.json",
+         "1240002f67cdd805ab168ee399acc69bc7b4d110b874d0a7b7cc9b7c14da36ff"),
+    ], ids=["benchmark", "figures"])
+    def test_shipped_config_hashes_pinned(self, path, digest):
+        assert config_hash(load_config(path)) == digest
 
 
 class TestCli:
@@ -273,10 +344,25 @@ class TestCli:
         bad.write_text("{\"version\": 1, \"bogus\": 1}")
         assert main(["run", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["run", "synth"])
+    def test_bad_config_exits_2_without_traceback(self, command, tmp_path,
+                                                   capsys):
+        payload = json.loads(self._config_file(tmp_path).read_text())
+        payload["scenarios"][0]["outlier_band"] = [-30.0, 0.0, 30.0]
+        args = [command, str(tmp_path / "bad.json")]
+        if command == "synth":
+            payload = payload["scenarios"][0]
+            args += ["--out", str(tmp_path / "trace.csv")]
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "outlier_band" in err
+        assert "Traceback" not in err
+
     def test_cell_failure_exit_code(self, tmp_path, capsys):
         payload = json.loads(self._config_file(tmp_path).read_text())
         payload["algorithms"].append(
-            {"name": "broken", "kind": "rvm_rls", "params": {"init_window": 3}})
+            {"name": "broken", "kind": "rvm_rls", "params": {"init_window": 400}})
         path = tmp_path / "config2.json"
         path.write_text(json.dumps(payload))
         assert main(["run", str(path), "--no-traces"]) == 1
