@@ -6,6 +6,7 @@ round-trip them, fitted state lives in trailing-underscore attributes, and
 ``fit`` returns ``self``.
 """
 
+import functools
 import inspect
 import math
 import numbers
@@ -19,6 +20,14 @@ from .regression import batch_least_squares, poly_basis
 # Gain denominators below this are treated as a numerical collapse rather
 # than silently dividing.
 GAIN_DENOMINATOR_FLOOR = 1e-12
+
+
+@functools.cache
+def constructor_spec(cls):
+    """``(parameters, type hints)`` of the constructor of ``cls``, computed
+    once per class: the parameters as ``inspect.signature(cls)`` lists them,
+    the hints as ``typing.get_type_hints(cls.__init__)`` resolves them."""
+    return inspect.signature(cls).parameters, typing.get_type_hints(cls.__init__)
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -43,8 +52,7 @@ class StreamingFilter:
 
     @classmethod
     def _param_names(cls):
-        sig = inspect.signature(cls.__init__)
-        return [p for p in sig.parameters if p != "self"]
+        return list(constructor_spec(cls)[0])
 
     def get_params(self, deep: bool = True) -> dict:
         return {name: getattr(self, name) for name in self._param_names()}
@@ -77,7 +85,7 @@ class StreamingFilter:
         """Check the hyperparameters: each one annotated ``int`` must hold
         an integer, and each subclass chains its own checks onto this. Every
         ``fit`` and ``run`` calls it, no step does."""
-        for name, tp in typing.get_type_hints(type(self).__init__).items():
+        for name, tp in constructor_spec(type(self))[1].items():
             value = getattr(self, name)
             if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
@@ -127,19 +135,28 @@ class StreamingFilter:
             )
         return phi, y, prediction
 
-    def _drive(self, times, measurements, step) -> list:
-        """Fit on the first ``init_window`` samples, then return
-        ``step(t, y)`` for each remaining sample, in order."""
+    def _begin(self, times, measurements):
+        """Check the hyperparameters and the trace, and fit on its first
+        ``init_window`` samples; returns the trace as float arrays."""
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
         self._validate_params()
+        if times.shape != measurements.shape:
+            raise InvalidInputError("times and measurements must match in length")
         n0 = self.init_window
         if len(times) < n0:
             raise InvalidInputError(
                 f"trace shorter than the initialization window ({len(times)} < {n0})"
             )
         self.fit(times[:n0], measurements[:n0])
-        return [step(times[j], measurements[j]) for j in range(n0, len(times))]
+        return times, measurements
+
+    def _drive(self, times, measurements, step) -> list:
+        """Fit on the first ``init_window`` samples, then return
+        ``step(t, y)`` for each remaining sample, in order."""
+        times, measurements = self._begin(times, measurements)
+        return [step(times[j], measurements[j])
+                for j in range(self.init_window, len(times))]
 
     def run(self, times, measurements) -> np.ndarray:
         """Fit on the first ``init_window`` samples, then step the rest.
@@ -147,6 +164,192 @@ class StreamingFilter:
         Returns one prediction per post-window sample.
         """
         return np.array(self._drive(times, measurements, self.step), dtype=float)
+
+    # -- lockstep: one filter per trace, all advanced together -------------
+
+    # The fitted attributes a lockstep run stacks, one row per trace, and
+    # the (name, dtype) of each per-step column it returns.
+    _LOCKSTEP_STATE = ("theta_", "last_time_")
+    _LOCKSTEP_COLUMNS = (("prediction", float),)
+    # ``_lockstep_step(s, j)`` is one ``step`` of every row of the state
+    # ``s``, on sample ``init_window + j``: it returns the step's columns and
+    # writes the new state into ``s`` only once every guard has passed; a
+    # guard that fails raises ``_RowsFailed``. A class without one runs each
+    # trace through ``run``.
+    _lockstep_step = None
+
+    def run_lockstep(self, times_list, measurements_list) -> list:
+        """Run a copy of this filter over each trace, as ``run`` would.
+
+        Returns one entry per trace: its predictions, or the exception
+        ``run`` raises on it. The filter itself is left as it was. The
+        recursive filters advance all copies one sample at a time with
+        stacked numpy calls whose results are bit-identical to ``run``'s;
+        a single trace, and a filter without a lockstep step (the particle
+        filter), go through ``run``.
+        """
+        return [out if isinstance(out, Exception) else out["prediction"]
+                for out in self._lockstep_columns(times_list, measurements_list)]
+
+    def _copy(self):
+        return type(self)(**self.get_params())
+
+    def _lockstep_columns(self, times_list, measurements_list) -> list:
+        """One entry per trace: a dict of per-step columns (``prediction``
+        first) or the exception the single-filter path raises on it."""
+        if len(times_list) != len(measurements_list):
+            raise InvalidInputError("times_list and measurements_list must match in length")
+        if self._lockstep_step is None or len(times_list) < 2:
+            return [_outcome(self._single_columns, times, measurements)
+                    for times, measurements in zip(times_list, measurements_list)]
+        outcomes = [None] * len(times_list)
+        rows = []
+        for k, trace in enumerate(zip(times_list, measurements_list)):
+            filt = self._copy()
+            try:
+                rows.append((k, filt, *filt._begin(*trace)))
+            except Exception as exc:  # recorded as run would raise it
+                outcomes[k] = exc
+        if rows:
+            self._lockstep(rows, outcomes)
+        return outcomes
+
+    def _single_columns(self, times, measurements) -> dict:
+        return {"prediction": self._copy().run(times, measurements)}
+
+    def _lockstep(self, rows, outcomes):
+        """Advance the fitted copies in ``rows`` (``(trace index, filter,
+        times, measurements)``) together and fill ``outcomes``. A row whose
+        step fails at a guard is dropped there with the exception its own
+        ``step`` raises; the step is then redone for the other rows, whose
+        state it has not touched yet. A row whose trace ends is dropped
+        with its columns."""
+        n0 = self.init_window
+        steps = [len(times) - n0 for _, _, times, _ in rows]
+        width = max(steps)
+        s = _Rows()
+        s.index = np.array([k for k, *_ in rows])
+        s.steps = np.array(steps)
+        s.times = np.full((len(rows), width), np.nan)
+        s.measurements = np.full((len(rows), width), np.nan)
+        for r, (_, _, times, measurements) in enumerate(rows):
+            s.times[r, :steps[r]] = times[n0:]
+            s.measurements[r, :steps[r]] = measurements[n0:]
+        self._stack_state(s, [filt for _, filt, _, _ in rows])
+        columns = {name: np.zeros((len(outcomes), width), dtype=dtype)
+                   for name, dtype in self._LOCKSTEP_COLUMNS}
+        ends = set(steps)
+        j = 0
+        # numpy's floating-point warnings stay off: a row's overflow reaches
+        # the same guard as in ``step``, and must not stop the other rows
+        with np.errstate(all="ignore"):
+            # every step's regressor at once: the cumulative product is
+            # poly_basis's chain of multiplications
+            tau = s.times / self.scale_divisor
+            phi = np.empty(tau.shape + (self.degree + 1,))
+            phi[..., 0] = 1.0
+            phi[..., 1:] = tau[..., None]
+            s.phi = np.cumprod(phi, axis=2)
+            # the steps at which some row's input fails a clock or basis check
+            previous = np.column_stack([s.last_time_, s.times[:, :-1]])
+            valid = (np.isfinite(s.times) & np.isfinite(s.measurements)
+                     & (s.times > previous) & np.isfinite(tau))
+            s.input_errors = {int(np.argmin(ok[:n])) for ok, n in zip(valid, steps)
+                              if not ok[:n].all()}
+            while j < width and len(s.index):
+                if j in ends:  # rows whose traces have ended
+                    s.take(s.steps > j)
+                    ends.discard(j)
+                    continue
+                try:
+                    out = self._lockstep_step(s, j)
+                except _RowsFailed as failed:
+                    keep = np.ones(len(s.index), dtype=bool)
+                    for r, exc in failed.errors:
+                        outcomes[s.index[r]] = exc
+                        keep[r] = False
+                    s.take(keep)
+                    continue
+                for column, values in zip(columns.values(), out):
+                    column[s.index, j] = values
+                j += 1
+        for (k, _, _, _), n in zip(rows, steps):
+            if outcomes[k] is None:
+                outcomes[k] = {name: column[k, :n] for name, column in columns.items()}
+
+    def _stack_state(self, s, filters):
+        for name in self._LOCKSTEP_STATE:
+            setattr(s, name, np.array([getattr(f, name) for f in filters]))
+
+    def _predict_rows(self, s, j):
+        """``_predict`` of step ``j`` for every row: returns ``(phi,
+        prediction, residual)``. Unless a row's input fails at this step or
+        a residual is not finite, no guard needs checking row by row."""
+        phi = s.phi[:, j]
+        prediction = np.matmul(phi[:, None, :], s.theta_[:, :, None])[:, 0, 0]
+        residual = s.measurements[:, j] - prediction
+        if j in s.input_errors or not np.isfinite(residual).all():
+            errors = []
+            for r in range(len(residual)):
+                t_raw, y = float(s.times[r, j]), float(s.measurements[r, j])
+                last = float(s.times[r, j - 1] if j else s.last_time_[r])
+                if not (math.isfinite(t_raw) and math.isfinite(y)):
+                    exc = InvalidInputError("time and measurement must be finite")
+                elif t_raw <= last:
+                    exc = InvalidInputError(
+                        f"time must increase strictly (got {t_raw} after {last})")
+                elif not math.isfinite(t_raw / self.scale_divisor):
+                    exc = InvalidInputError("tau must be finite")
+                elif not math.isfinite(prediction[r]):
+                    exc = NumericalDivergenceError("prediction became non-finite",
+                                                   self.init_window + j)
+                else:
+                    continue
+                errors.append((r, exc))
+            if errors:
+                raise _RowsFailed(errors)
+        return phi, prediction, residual
+
+
+def _f_ordered(stack):
+    """A copy of a (rows, n, n) stack whose every matrix is F-ordered."""
+    return np.ascontiguousarray(stack.transpose(0, 2, 1)).transpose(0, 2, 1)
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # the caller records it in place of a result
+        return exc
+
+
+class _RowsFailed(Exception):
+    """Raised inside a lockstep step: ``errors`` lists ``(row, exception)``
+    for the rows whose own ``step`` raises at that point."""
+
+    def __init__(self, errors):
+        super().__init__(errors)
+        self.errors = errors
+
+
+def _check_rows(bad, rows, error):
+    """Raise ``_RowsFailed`` for each position flagged in the boolean array
+    ``bad``, with the exception ``error(position)``; ``rows`` maps positions
+    to rows of the state (None: the same)."""
+    if bad.any():
+        raise _RowsFailed([(r if rows is None else rows[r], error(r))
+                           for r in np.flatnonzero(bad)])
+
+
+class _Rows:
+    """The stacked state of a lockstep run: every array attribute has one
+    row per live trace."""
+
+    def take(self, keep):
+        for name, value in vars(self).items():
+            if isinstance(value, np.ndarray):
+                setattr(self, name, value[keep])
 
 
 class ForgettingFactorCore(StreamingFilter):
@@ -226,6 +429,61 @@ class ForgettingFactorCore(StreamingFilter):
             )
         self.step_index_ += 1
         return gain
+
+    # -- lockstep ----------------------------------------------------------
+
+    _LOCKSTEP_STATE = StreamingFilter._LOCKSTEP_STATE + ("L_",)
+
+    def _stack_state(self, s, filters):
+        super()._stack_state(s, filters)
+        # BLAS rounds a product with a C- or an F-ordered matrix differently;
+        # a "residual" init factor stays F-ordered until its first update
+        s.f_order = np.array([f.L_.flags.f_contiguous and not f.L_.flags.c_contiguous
+                              for f in filters])
+
+    def _absorb_rows(self, s, rows, phi, lam, residual, j):
+        """``_absorb`` of step ``j`` for the rows ``rows`` of ``s`` (None:
+        all), each under its own forgetting factor in the array ``lam``.
+        Returns ``(theta, L, f_order, gain)`` for those rows without storing
+        them; a failing guard raises ``_RowsFailed``."""
+        step_index = self.init_window + j
+        if rows is None:
+            theta, L, f_order = s.theta_, s.L_, s.f_order
+        else:
+            theta, L, f_order = s.theta_[rows], s.L_[rows], s.f_order[rows]
+        v = np.matmul(phi[:, None, :], L)[:, 0]
+        f_rows = np.flatnonzero(f_order)
+        if len(f_rows):
+            L_f = _f_ordered(L[f_rows])
+            v[f_rows] = np.matmul(phi[f_rows, None, :], L_f)[:, 0]
+        vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
+        denom = lam + vv
+        _check_rows(denom < GAIN_DENOMINATOR_FLOOR, rows,
+                    lambda r: NumericalDivergenceError("gain denominator collapsed",
+                                                       step_index))
+        Lv = np.matmul(L, v[:, :, None])[:, :, 0]
+        if len(f_rows):
+            Lv[f_rows] = np.matmul(L_f, v[f_rows, :, None])[:, :, 0]
+        gain = Lv / denom[:, None]
+        # _gain_update's operations, in its order, on every row at once
+        L_new = Lv[:, :, None] * v[:, None, :]
+        L_new *= ((1.0 - np.sqrt(lam / denom)) / vv)[:, None, None]
+        np.subtract(L, L_new, out=L_new)
+        root = np.sqrt(lam)[:, None, None]
+        L_new /= root
+        flat = ~(vv > 0.0)
+        if flat.any():  # no update direction: L / sqrt(lam), in L's order
+            L_new[flat] = L[flat] / root[flat]
+            f_order = f_order & flat
+        else:
+            f_order = np.zeros(len(vv), dtype=bool)
+        theta = theta + gain * residual[:, None]
+        if not np.isfinite(theta).all():
+            _check_rows(~np.isfinite(theta).all(axis=1), rows,
+                        lambda r: NumericalDivergenceError(
+                            f"{'parameter vector' if np.isfinite(gain[r]).all() else 'gain'}"
+                            " became non-finite", step_index))
+        return theta, L_new, f_order, gain
 
     @property
     def P_(self) -> np.ndarray:

@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from .base import ForgettingFactorCore, StreamingFilter, all_finite
+from .base import (ForgettingFactorCore, StreamingFilter, _check_rows, _f_ordered,
+                   all_finite)
 from .exceptions import InvalidInputError, NumericalDivergenceError
 from .regression import batch_least_squares, poly_basis
 
@@ -57,6 +58,13 @@ class NormalizedLms(StreamingFilter):
         self.step_index_ += 1
         return prediction
 
+    def _lockstep_step(self, s, j):
+        phi, prediction, residual = self._predict_rows(s, j)
+        norm = np.matmul(phi[:, None, :], phi[:, :, None])[:, 0, 0]
+        s.theta_ = (s.theta_
+                    + (self.mu * residual)[:, None] * phi / (self.eps + norm)[:, None])
+        return (prediction,)
+
 
 class StaticRls(ForgettingFactorCore):
     """Exponentially weighted RLS with a fixed forgetting factor.
@@ -89,6 +97,13 @@ class StaticRls(ForgettingFactorCore):
         phi, y, prediction = self._predict(t_raw, y)
         self._absorb(phi, self.forgetting, y - prediction)
         return prediction
+
+    def _lockstep_step(self, s, j):
+        phi, prediction, residual = self._predict_rows(s, j)
+        lam = np.full(len(prediction), float(self.forgetting))
+        s.theta_, s.L_, s.f_order, _ = self._absorb_rows(
+            s, None, phi, lam, residual, j)
+        return (prediction,)
 
 
 class GvffRls(ForgettingFactorCore):
@@ -125,6 +140,8 @@ class GvffRls(ForgettingFactorCore):
             raise InvalidInputError(
                 "need 0 < lambda_min <= lambda_init <= lambda_max <= 1"
             )
+        if not math.isfinite(self.alpha):
+            raise InvalidInputError(f"alpha must be finite, got {self.alpha!r}")
 
     def fit(self, times, measurements):
         self._init_from_window(times, measurements)
@@ -152,6 +169,31 @@ class GvffRls(ForgettingFactorCore):
                 "sensitivity vector became non-finite", self.step_index_ - 1
             )
         return prediction
+
+    _LOCKSTEP_STATE = ForgettingFactorCore._LOCKSTEP_STATE + ("lambda_", "S_", "psi_")
+
+    def _lockstep_step(self, s, j):
+        phi, prediction, e = self._predict_rows(s, j)
+        phi_psi = np.matmul(phi[:, None, :], s.psi_[:, :, None])[:, 0, 0]
+        lam = np.minimum(np.maximum(s.lambda_ + self.alpha * e * phi_psi,
+                                    self.lambda_min), self.lambda_max)
+        theta, L, f_order, gain = self._absorb_rows(s, None, phi, lam, e, j)
+        gain_col = gain[:, :, None]
+        gain_row = gain[:, None, :]
+        AS = s.S_ - gain_col * np.matmul(phi[:, None, :], s.S_)
+        ASA = AS - np.matmul(AS, phi[:, :, None]) * gain_row
+        P = np.matmul(L, L.transpose(0, 2, 1))
+        if f_order.any():  # an F-ordered factor after a null update
+            L_f = _f_ordered(L[f_order])
+            P[f_order] = np.matmul(L_f, L_f.transpose(0, 2, 1))
+        S = (ASA + gain_col * gain_row - P) / lam[:, None, None]
+        psi = (s.psi_ - gain * phi_psi[:, None]
+               + np.matmul(S, phi[:, :, None])[:, :, 0] * e[:, None])
+        _check_rows(~np.isfinite(psi).all(axis=1), None,
+                    lambda r: NumericalDivergenceError(
+                        "sensitivity vector became non-finite", self.init_window + j))
+        s.theta_, s.L_, s.f_order, s.lambda_, s.S_, s.psi_ = theta, L, f_order, lam, S, psi
+        return (prediction,)
 
 
 class BootstrapParticleFilter(StreamingFilter):

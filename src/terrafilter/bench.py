@@ -4,7 +4,6 @@ metric reports, timing, and plot-ready data files.
 
 import csv
 import hashlib
-import inspect
 import io
 import json
 import math
@@ -20,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .base import _outcome, constructor_spec
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, max_error, mse, reports_to_csv, time_step,
@@ -79,6 +79,9 @@ class ExperimentConfig:
             cls = FILTER_KINDS.get(spec.kind)
             if cls is None:
                 raise ConfigError(f"{path}.kind: unknown algorithm kind {spec.kind!r}")
+            if spec.kind == "pf" and "seed" in spec.params:
+                raise ConfigError(f"{path}.params.seed: the particle filter is "
+                                  "seeded with each cell's trace seed")
             for scenario in self.scenarios:
                 params = _filter_params(spec, scenario, self.seeds[0])
                 try:
@@ -164,13 +167,12 @@ def _build(value, tp, path: str):
         _expect(type(value) is tp, path, tp.__name__, value)
         return value
     _expect(isinstance(value, dict), path, "an object", value)
-    params = inspect.signature(tp).parameters
+    params, hints = constructor_spec(tp)
     errors = [f"{path}.{k}: unknown key" for k in sorted(set(value) - set(params))]
     errors += [f"{path}.{k}: missing" for k, p in params.items()
                if k not in value and p.default is p.empty]
     if errors:
         raise ConfigError("; ".join(errors))
-    hints = typing.get_type_hints(tp.__init__)
     try:
         return tp(**{k: _build(v, hints[k], f"{path}.{k}") for k, v in value.items()})
     except InvalidInputError as exc:  # a dataclass's __post_init__ checks
@@ -217,20 +219,32 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- execution ------------------------------------------------------------
 
 
-def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace,
-             detailed: bool = False):
-    """Run one filter over one trace; returns ``(report_without_sr,
-    predictions, outputs)``. With ``detailed`` (RvmRls only) the single pass
-    also collects every step's ``StepOutput`` in ``outputs``; otherwise
-    ``outputs`` is None."""
-    filt = build_filter(spec, scenario, seed)
-    if detailed:
-        outputs = filt.run_detailed(trace.times, trace.measurement)
-        predictions = np.array([o.prediction for o in outputs], dtype=float)
+def run_cells(spec: AlgorithmSpec, scenario: ScenarioConfig, seeds, traces,
+              detailed: bool = False) -> list:
+    """Run one algorithm's cells over the traces of ``seeds``. Returns, per
+    seed, ``(report_without_sr, predictions, columns)`` or the exception
+    the cell failed with. Cells whose filters are built alike (every
+    algorithm but the particle filter, whose seed is the cell's) run as one
+    ``run_lockstep`` call. With ``detailed`` (RvmRls only), ``columns``
+    holds the fig4 columns of ``run_lockstep_detailed``; otherwise None."""
+    params = [_filter_params(spec, scenario, seed) for seed in seeds]
+    times = [trace.times for trace in traces]
+    measurements = [trace.measurement for trace in traces]
+    method = "run_lockstep_detailed" if detailed else "run_lockstep"
+    if all(p == params[0] for p in params):
+        outcomes = getattr(build_filter(spec, scenario, seeds[0]), method)(
+            times, measurements)
     else:
-        outputs = None
-        predictions = filt.run(trace.times, trace.measurement)
-    ref = trace.reference[filt.init_window:]
+        outcomes = [getattr(build_filter(spec, scenario, seed), method)([t], [y])[0]
+                    for seed, t, y in zip(seeds, times, measurements)]
+    return [outcome if isinstance(outcome, Exception) else
+            _outcome(_cell_report, spec, scenario, seed, trace, outcome, detailed)
+            for seed, trace, outcome in zip(seeds, traces, outcomes)]
+
+
+def _cell_report(spec, scenario, seed, trace, outcome, detailed):
+    predictions = outcome["prediction"] if detailed else outcome
+    ref = trace.reference[len(trace) - len(predictions):]
     return MetricsReport(
         algorithm=spec.name,
         sr_ms=0.0,
@@ -239,69 +253,106 @@ def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace,
         me=max_error(predictions, ref),
         scenario_id=scenario.name,
         seed=seed,
-    ), predictions, outputs
+    ), predictions, outcome if detailed else None
 
 
-def _run_pair(scenario: ScenarioConfig, seed: int, algorithms, out_dir=None):
-    """One pool job: synthesize the (scenario, seed) trace and run every
-    algorithm's cell on it once. With ``out_dir`` set, also write the pair's
-    trace and figure files there. Returns ``[(CellStatus, MetricsReport or
-    None)]`` in algorithm order; a failing cell is recorded without
-    disturbing the others. Traces and predictions stay in the worker."""
-    trace = synthesize(scenario.with_seed(seed))
+def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace,
+             detailed: bool = False):
+    """One cell: ``run_cells`` on a single trace, raising the cell's
+    error."""
+    outcome = run_cells(spec, scenario, [seed], [trace], detailed)[0]
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _run_chunk(scenario: ScenarioConfig, seeds, algorithms, out_dir=None):
+    """One pool job: synthesize the traces of ``seeds`` and run every
+    algorithm's cells on them. With ``out_dir`` set, also write each
+    seed's trace and figure files there. Returns ``{seed: [(CellStatus,
+    MetricsReport or None)]}`` in algorithm order; a failing cell is
+    recorded without disturbing the others. A cell's ``duration_ms`` is
+    its algorithm's wall time over the chunk divided by the number of
+    seeds. Traces and predictions stay in the worker."""
+    traces = [synthesize(scenario.with_seed(seed)) for seed in seeds]
     detailed = None
     if out_dir is not None:
         detailed = next((a for a in algorithms if a.kind == "rvm_rls"), None)
-    results = []
-    preds = {}
-    outputs = None
+    results = {seed: [] for seed in seeds}
+    preds = {seed: {} for seed in seeds}
+    columns = dict.fromkeys(seeds)
     for spec in algorithms:
         t0 = time.perf_counter()
         try:
-            report, preds[spec.name], cell_outputs = run_cell(
-                spec, scenario, seed, trace, detailed=spec is detailed)
-            status = CellStatus(scenario.name, spec.name, seed, "ok")
-        except Exception as exc:  # crash isolation: one bad cell never aborts the run
-            report = None
-            status = CellStatus(scenario.name, spec.name, seed, "error",
-                                error=f"{type(exc).__name__}: {exc}")
-        else:
-            if spec is detailed:
-                outputs = cell_outputs
-        status.duration_ms = (time.perf_counter() - t0) * 1e3
-        results.append((status, report))
+            cells = run_cells(spec, scenario, seeds, traces, detailed=spec is detailed)
+        except Exception as exc:  # crash isolation: one bad algorithm never aborts the run
+            cells = [exc] * len(seeds)
+        duration_ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
+        for seed, cell in zip(seeds, cells):
+            if isinstance(cell, Exception):
+                report = None
+                status = CellStatus(scenario.name, spec.name, seed, "error",
+                                    error=f"{type(cell).__name__}: {cell}")
+            else:
+                report, preds[seed][spec.name], cell_columns = cell
+                status = CellStatus(scenario.name, spec.name, seed, "ok")
+                if spec is detailed:
+                    columns[seed] = cell_columns
+            status.duration_ms = duration_ms
+            results[seed].append((status, report))
     if out_dir is not None:
-        _emit_trace_files(out_dir, scenario, seed, trace, preds, outputs)
+        for seed, trace in zip(seeds, traces):
+            _emit_trace_files(out_dir, scenario, seed, trace, preds[seed], columns[seed])
     return results
 
 
-def _run_pairs(config: ExperimentConfig, out_dir):
-    """Run every (scenario, seed) job on a process pool with one worker per
-    usable CPU; returns {(scenario name, seed): _run_pair's result}. A job
-    lost to a dead worker gets an ``error`` status for each of its cells."""
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, so that taskset limits the pool."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _seed_chunks(seeds, count):
+    """``seeds`` split in order into ``count`` near-equal chunks (fewer when
+    there are fewer seeds)."""
+    count = min(count, len(seeds))
+    return [seeds[i * len(seeds) // count:(i + 1) * len(seeds) // count]
+            for i in range(count)]
+
+
+def _run_jobs(config: ExperimentConfig, out_dir):
+    """Run the matrix on a process pool with one worker per usable CPU, as
+    one job per (scenario, chunk of seeds): each scenario's seeds split
+    into ceil(CPUs / scenarios) chunks, the fewest jobs that keep every
+    worker busy, so each lockstep batch is as wide as it can be. Returns
+    {(scenario name, seed): [(CellStatus, MetricsReport or None)]}. A job
+    lost to a dead worker gets an ``error`` status for each of its
+    cells."""
     # imported here so that importing the CLI does not pay for multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pairs = [(scenario, seed) for scenario in config.scenarios
-             for seed in config.seeds]
-    # the CPUs this process may run on, so that taskset limits the pool
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
+    cpus = _usable_cpus()
+    chunks = -(-cpus // len(config.scenarios))
+    jobs = [(scenario, seeds) for scenario in config.scenarios
+            for seeds in _seed_chunks(config.seeds, chunks)]
     emit_dir = out_dir if config.emit_traces else None
     results = {}
-    with ProcessPoolExecutor(max_workers=min(cpus, len(pairs))) as pool:
-        futures = [pool.submit(_run_pair, scenario, seed, config.algorithms, emit_dir)
-                   for scenario, seed in pairs]
-        for (scenario, seed), future in zip(pairs, futures):
+    with ProcessPoolExecutor(max_workers=min(cpus, len(jobs))) as pool:
+        futures = [pool.submit(_run_chunk, scenario, seeds, config.algorithms, emit_dir)
+                   for scenario, seeds in jobs]
+        for (scenario, seeds), future in zip(jobs, futures):
             try:
-                results[(scenario.name, seed)] = future.result()
+                chunk = future.result()
             except BrokenProcessPool as exc:
                 error = f"{type(exc).__name__}: {exc}"
-                results[(scenario.name, seed)] = [
-                    (CellStatus(scenario.name, spec.name, seed, "error", error=error),
-                     None)
-                    for spec in config.algorithms]
+                chunk = {seed: [(CellStatus(scenario.name, spec.name, seed, "error",
+                                            error=error), None)
+                                for spec in config.algorithms]
+                         for seed in seeds}
+            results.update(((scenario.name, seed), cells)
+                           for seed, cells in chunk.items())
     return results
 
 
@@ -309,8 +360,9 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     """Execute the full matrix and write reports, aggregates, traces,
     figure data, and the manifest into the output directory.
 
-    Metric cells run on a process pool, one job per (scenario, seed) and
-    one worker per usable CPU (``taskset`` limits them). After the pool has
+    Metric cells run on a process pool, one job per (scenario, chunk of
+    seeds) and one worker per usable CPU (``taskset`` limits them); a job
+    runs each recursive filter over its seeds in lockstep. After the pool has
     shut down, single-step timing runs serially, one measurement per
     (algorithm, scenario), shared by that scenario's seed rows. A failing
     cell or timing measurement is recorded in the manifest without
@@ -324,7 +376,7 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
         (out / "figs").mkdir(exist_ok=True)
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
-    results = _run_pairs(config, out)
+    results = _run_jobs(config, out)
     statuses = []
     cells = {}
     for scenario in config.scenarios:
@@ -378,24 +430,20 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     return manifest
 
 
-def _emit_trace_files(out, scenario, seed, trace, preds, outputs):
-    """One pair's trace csv plus plot-ready figure files: the first RvmRls
-    cell's diagnostics (adaptive lambda and variance series) when that cell
-    succeeded, overlaid predictions, errors."""
+def _emit_trace_files(out, scenario, seed, trace, preds, columns):
+    """One seed's trace csv plus plot-ready figure files: the first RvmRls
+    cell's diagnostic columns (``run_lockstep_detailed``'s: adaptive lambda
+    and variance series) when that cell succeeded, overlaid predictions,
+    errors."""
     figs_dir = Path(out) / "figs"
     name = f"{scenario.name}_{seed}.csv"
     write_trace_csv(trace, Path(out) / "traces" / f"trace_{name}")
 
-    if outputs is not None:
-        tail = slice(len(trace) - len(outputs), None)
-        write_columns(
-            figs_dir / f"fig4_{name}",
-            ["t", "z", "p", "prediction", "residual", "rejected", "lambda",
-             "sigma2_hat"],
-            [trace.times[tail], trace.measurement[tail], trace.reference[tail],
-             [o.prediction for o in outputs], [o.residual for o in outputs],
-             [o.rejected for o in outputs], [o.lambda_after for o in outputs],
-             [o.sigma2_hat_after for o in outputs]])
+    if columns is not None:
+        tail = slice(len(trace) - len(columns["prediction"]), None)
+        write_columns(figs_dir / f"fig4_{name}", ["t", "z", "p", *columns],
+                      [trace.times[tail], trace.measurement[tail],
+                       trace.reference[tail], *columns.values()])
 
     if not preds:
         return

@@ -131,11 +131,28 @@ def reports_to_csv(reports) -> str:
 
 def reports_from_csv(text: str):
     """Parse a reports file back into MetricsReport records, each column
-    cast to its field's type."""
+    cast to its field's type. A malformed row is an InvalidInputError
+    naming its line and, for a bad value, its column."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != REPORT_FIELDS:
         raise InvalidInputError(f"unexpected reports header: {header}")
     casts = [f.type for f in fields(MetricsReport)]
-    return [MetricsReport(*(cast(v) for cast, v in zip(casts, row)))
-            for row in reader if row]
+    reports = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"reports line {reader.line_num}"
+        if len(row) != len(REPORT_FIELDS):
+            raise InvalidInputError(
+                f"{where}: expected {len(REPORT_FIELDS)} columns, got {len(row)}")
+        values = []
+        for name, cast, value in zip(REPORT_FIELDS, casts, row):
+            try:
+                values.append(cast(value))
+            except ValueError:
+                raise InvalidInputError(
+                    f"{where}, column {name}: expected {cast.__name__}, got {value!r}"
+                ) from None
+        reports.append(MetricsReport(*values))
+    return reports

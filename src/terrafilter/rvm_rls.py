@@ -11,7 +11,9 @@ treated as outliers.
 import math
 from dataclasses import dataclass
 
-from .base import ForgettingFactorCore
+import numpy as np
+
+from .base import ForgettingFactorCore, _RowsFailed
 from .exceptions import InvalidInputError
 
 
@@ -112,10 +114,13 @@ class RvmRls(ForgettingFactorCore):
         super()._validate_params()
         if not (0.0 < self.lambda_min <= self.lambda_max <= 1.0):
             raise InvalidInputError("need 0 < lambda_min <= lambda_max <= 1")
-        if self.step_size <= 0 or self.cost_gain <= 0:
-            raise InvalidInputError("step_size and cost_gain must be positive")
-        if self.target_noise_variance is not None and self.target_noise_variance < 0:
-            raise InvalidInputError("target_noise_variance must be non-negative")
+        for name in ("step_size", "cost_gain", "target_noise_variance"):
+            value = getattr(self, name)
+            if value is None and name == "target_noise_variance":
+                continue
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidInputError(
+                    f"{name} must be a positive finite number, got {value!r}")
         if self.rejected_update not in ("skip", "recurse"):
             raise InvalidInputError("rejected_update must be 'skip' or 'recurse'")
 
@@ -183,3 +188,73 @@ class RvmRls(ForgettingFactorCore):
         collecting every StepOutput. A trace exactly init_window long
         yields an empty list."""
         return self._drive(times, measurements, self.step_detailed)
+
+    def run_lockstep_detailed(self, times_list, measurements_list) -> list:
+        """``run_lockstep`` with the per-step diagnostics of
+        ``run_detailed``: one entry per trace, a dict of arrays keyed
+        ``prediction``, ``residual``, ``rejected``, ``lambda`` and
+        ``sigma2_hat`` (``StepOutput``'s fields of the same meaning), or the
+        exception ``run_detailed`` raises on it."""
+        return self._lockstep_columns(times_list, measurements_list)
+
+    # -- lockstep ----------------------------------------------------------
+
+    _LOCKSTEP_STATE = ForgettingFactorCore._LOCKSTEP_STATE + (
+        "lambda_", "sigma2_hat_", "sigma2_target_")
+    _LOCKSTEP_COLUMNS = (("prediction", float), ("residual", float),
+                         ("rejected", bool), ("lambda", float),
+                         ("sigma2_hat", float))
+
+    def _single_columns(self, times, measurements) -> dict:
+        outputs = self._copy().run_detailed(times, measurements)
+        return {name: np.array([getattr(o, field) for o in outputs], dtype=dtype)
+                for (name, dtype), field in zip(self._LOCKSTEP_COLUMNS, (
+                    "prediction", "residual", "rejected", "lambda_after",
+                    "sigma2_hat_after"))}
+
+    def _stack_state(self, s, filters):
+        super()._stack_state(s, filters)
+        s.gate = 3.0 * np.sqrt(s.sigma2_target_)
+
+    def _lockstep_step(self, s, j):
+        phi, prediction, raw_residual = self._predict_rows(s, j)
+        if self.outlier_gate:
+            rejected = np.abs(raw_residual) > s.gate
+        else:
+            rejected = np.zeros(len(prediction), dtype=bool)
+        rows = None
+        residual = raw_residual
+        if rejected.any():
+            if self.rejected_update == "skip":  # gated rows stay untouched
+                rows = np.flatnonzero(~rejected)
+                phi, residual = phi[rows], raw_residual[rows]
+            else:
+                residual = np.where(rejected, 0.0, raw_residual)
+        sigma2_prev, lam, target = ((s.sigma2_hat_, s.lambda_, s.sigma2_target_)
+                                    if rows is None else
+                                    (s.sigma2_hat_[rows], s.lambda_[rows],
+                                     s.sigma2_target_[rows]))
+        # variance_cost's arithmetic, in its order. A non-finite input always
+        # leaves a non-finite gradient, so only such rows need its checks.
+        r2 = residual * residual
+        sigma2_hat = lam * sigma2_prev + (1.0 - lam) * r2
+        gradient = 2.0 * self.cost_gain * (sigma2_hat - target) * (sigma2_prev - r2)
+        errors = []
+        for i in np.flatnonzero(~np.isfinite(gradient)):
+            try:
+                variance_cost(float(sigma2_prev[i]), float(residual[i]), float(lam[i]),
+                              self.cost_gain, float(target[i]))
+            except InvalidInputError as exc:
+                errors.append((i if rows is None else rows[i], exc))
+        if errors:
+            raise _RowsFailed(errors)
+        lam = np.minimum(np.maximum(lam - self.step_size * gradient,
+                                    self.lambda_min), self.lambda_max)
+        theta, L, f_order, _ = self._absorb_rows(s, rows, phi, lam, residual, j)
+        if rows is None:
+            s.theta_, s.L_, s.f_order, s.lambda_, s.sigma2_hat_ = (
+                theta, L, f_order, lam, sigma2_hat)
+        else:
+            s.theta_[rows], s.L_[rows], s.f_order[rows] = theta, L, f_order
+            s.lambda_[rows], s.sigma2_hat_[rows] = lam, sigma2_hat
+        return prediction, raw_residual, rejected, s.lambda_, s.sigma2_hat_

@@ -1,11 +1,13 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
 
 import pytest
 
-from terrafilter import ConfigError, MetricsReport, ScenarioConfig, synthesize
+from terrafilter import (ConfigError, GvffRls, InvalidInputError, MetricsReport,
+                         RvmRls, ScenarioConfig, synthesize)
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                load_config, median_reports, render_table,
@@ -207,7 +209,24 @@ REJECTED = {
                          ["config.algorithms[2].params", "eps"]),
     "unknown_param": (_set("algorithms", 2, "params", value={"bogus": 1}),
                       ["config.algorithms[2].params.bogus"]),
+    "pf_seed": (_set("algorithms", 4, "params", value={"seed": 123}),
+                ["config.algorithms[4].params.seed"]),
 }
+
+# (index in configs/benchmark.json, filter, parameter, value): each one is
+# rejected by the filter's fit and by a config load
+BAD_FILTER_PARAMS = [
+    (0, RvmRls, "step_size", 0.0), (0, RvmRls, "step_size", -1e-3),
+    (0, RvmRls, "step_size", math.nan), (0, RvmRls, "step_size", math.inf),
+    (0, RvmRls, "cost_gain", 0.0), (0, RvmRls, "cost_gain", -20.0),
+    (0, RvmRls, "cost_gain", math.nan), (0, RvmRls, "cost_gain", math.inf),
+    (0, RvmRls, "target_noise_variance", 0.0),
+    (0, RvmRls, "target_noise_variance", -0.09),
+    (0, RvmRls, "target_noise_variance", math.nan),
+    (0, RvmRls, "target_noise_variance", math.inf),
+    (3, GvffRls, "alpha", math.nan), (3, GvffRls, "alpha", math.inf),
+    (3, GvffRls, "alpha", -math.inf),
+]
 
 
 class TestConfigFiles:
@@ -261,6 +280,20 @@ class TestConfigFiles:
             load_config(self._dump(tmp_path, payload))
         for text in expected:
             assert text in str(err.value)
+
+    @pytest.mark.parametrize("index, cls, name, value", BAD_FILTER_PARAMS,
+                             ids=[f"{c.__name__}-{n}={v}" for _, c, n, v in BAD_FILTER_PARAMS])
+    def test_bad_filter_param_rejected_at_fit_and_load(self, index, cls, name,
+                                                       value, tmp_path):
+        trace = synthesize(ScenarioConfig(sample_count=300, clean_prefix=100))
+        with pytest.raises(InvalidInputError, match=name):
+            cls(**{name: value}).fit(trace.times[:100], trace.measurement[:100])
+        payload = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
+        payload["algorithms"][index]["params"] = {name: value}
+        with pytest.raises(ConfigError) as err:
+            load_config(self._dump(tmp_path, payload))
+        assert f"config.algorithms[{index}].params" in str(err.value)
+        assert name in str(err.value)
 
     def test_duplicate_names_rejected(self, tmp_path):
         payload = self._payload()
@@ -359,6 +392,16 @@ class TestCli:
         assert err.startswith("config error: ") and "outlier_band" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row", ["rvm_rls,0.1,abc,1,1,s,0", "rvm_rls,0.1,0.2"],
+                             ids=["mse_abc", "three_columns"])
+    def test_table_on_malformed_reports_exits_1_without_traceback(
+            self, row, tmp_path, capsys):
+        path = tmp_path / "reports.csv"
+        path.write_text("algorithm,sr_ms,mse,vr,me,scenario_id,seed\n" + row + "\n")
+        assert main(["table", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: reports line 2") and "Traceback" not in err
+
     def test_cell_failure_exit_code(self, tmp_path, capsys):
         payload = json.loads(self._config_file(tmp_path).read_text())
         payload["algorithms"].append(
@@ -368,17 +411,22 @@ class TestCli:
         assert main(["run", str(path), "--no-traces"]) == 1
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
-                        reason="the worker inherits the patched cell only under fork")
+                        reason="the worker inherits the patched cells only under fork")
     def test_dead_worker_fails_its_cells(self, tmp_path, monkeypatch, capsys):
-        real_run_cell = bench.run_cell
+        # one worker runs the two scenarios' jobs in order, whatever the
+        # host's CPU count: the first job finishes, the second one's worker
+        # dies
+        real_run_cells = bench.run_cells
 
-        def dying_run_cell(spec, scenario, seed, trace, detailed=False):
-            if seed == 1:
+        def dying_run_cells(spec, scenario, seeds, traces, detailed=False):
+            if scenario.name == "t":
                 os._exit(1)
-            return real_run_cell(spec, scenario, seed, trace, detailed)
+            return real_run_cells(spec, scenario, seeds, traces, detailed)
 
-        monkeypatch.setattr(bench, "run_cell", dying_run_cell)
+        monkeypatch.setattr(bench, "run_cells", dying_run_cells)
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)
         payload = json.loads(self._config_file(tmp_path).read_text())
+        payload["scenarios"].append(dict(payload["scenarios"][0], name="t"))
         payload["seeds"] = [0, 1]
         path = tmp_path / "config2.json"
         path.write_text(json.dumps(payload))
@@ -393,14 +441,15 @@ class TestCli:
         assert "BrokenProcessPool" in err and "Traceback" not in err
         out = tmp_path / "out"
         cells = json.loads((out / "manifest.json").read_text())["cells"]
-        assert len(cells) == 4
-        dead = [c for c in cells if c["seed"] == 1]
-        assert all(c["status"] == "error" and "BrokenProcessPool" in c["error"]
-                   for c in dead)
+        assert len(cells) == 8
+        dead = [c for c in cells if c["scenario_id"] == "t"]
+        assert len(dead) == 4 and all(
+            c["status"] == "error" and "BrokenProcessPool" in c["error"] for c in dead)
+        finished = [c for c in cells if c["scenario_id"] == "s"]
+        assert len(finished) == 4 and all(c["status"] == "ok" for c in finished)
         reports = reports_from_csv((out / "reports.csv").read_text())
-        assert ({(r.algorithm, r.seed) for r in reports}
-                == {(c["algorithm"], c["seed"]) for c in cells
-                    if c["status"] == "ok"})
+        assert ({(r.scenario_id, r.algorithm, r.seed) for r in reports}
+                == {(c["scenario_id"], c["algorithm"], c["seed"]) for c in finished})
 
     def test_synth(self, tmp_path, capsys):
         scen = tmp_path / "scenario.json"

@@ -1,0 +1,208 @@
+"""``run_lockstep`` must reproduce ``run`` bit for bit, trace by trace.
+
+Every filter copy in a lockstep batch must give exactly the predictions
+(and, for RvmRls, the fig4 columns of ``run_detailed``) that its own
+``run`` gives, or exactly the exception ``run`` raises: same type, message
+and step index. The benchmark traces are cut to their first
+``TRACE_LENGTH`` samples; the full-length outputs of the lockstep path are
+checked against the goldens by the benchmark tests.
+"""
+
+import numpy as np
+import pytest
+
+from terrafilter import (BootstrapParticleFilter, GvffRls, NormalizedLms,
+                         RvmRls, StaticRls, synthesize)
+from terrafilter.bench import load_config
+
+from goldens import BENCHMARK_CONFIG
+
+TRACE_LENGTH = 300
+SEEDS = range(20)  # terrain_outliers seeds 12, 16 and 18 gate their first
+#                    post-window sample, so their "residual" init factors
+#                    stay F-ordered for a few more steps
+
+CASES = {
+    "rvm_rls": lambda var: RvmRls(target_noise_variance=var),
+    "rvm_rls_recurse": lambda var: RvmRls(target_noise_variance=var,
+                                          rejected_update="recurse"),
+    "rvm_rls_no_gate": lambda var: RvmRls(target_noise_variance=var,
+                                          outlier_gate=False),
+    "rvm_rls_recurse_no_gate": lambda var: RvmRls(
+        target_noise_variance=var, rejected_update="recurse", outlier_gate=False),
+    "rvm_rls_gram": lambda var: RvmRls(covariance_init="gram"),
+    "rvm_rls_degree_2": lambda var: RvmRls(degree=2, target_noise_variance=var),
+    "rls": lambda var: StaticRls(),
+    "rls_residual": lambda var: StaticRls(covariance_init="residual"),
+    "gvff_rls": lambda var: GvffRls(),
+    "gvff_rls_residual": lambda var: GvffRls(covariance_init="residual"),
+    "lms": lambda var: NormalizedLms(),
+    "lms_degree_2": lambda var: NormalizedLms(degree=2, mu=0.05),
+}
+DETAIL_FIELDS = {"prediction": "prediction", "residual": "residual",
+                 "rejected": "rejected", "lambda": "lambda_after",
+                 "sigma2_hat": "sigma2_hat_after"}
+RECURSIVE = {"rvm_rls": CASES["rvm_rls"], "rls": CASES["rls"],
+             "gvff_rls": CASES["gvff_rls"], "lms": CASES["lms"]}
+
+
+@pytest.fixture(scope="module", params=["terrain_outliers", "terrain_clean"])
+def scenario_traces(request):
+    scenario = next(s for s in load_config(BENCHMARK_CONFIG).scenarios
+                    if s.name == request.param)
+    traces = [synthesize(scenario.with_seed(seed)) for seed in SEEDS]
+    return (scenario.noise_variance,
+            [t.times[:TRACE_LENGTH] for t in traces],
+            [t.measurement[:TRACE_LENGTH] for t in traces])
+
+
+def _single(run, times, measurements):
+    """``run``'s result, or the exception it raises. The broken traces
+    overflow on purpose, so numpy's overflow warnings stay off, here and
+    around the lockstep call it is compared with."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return run(times, measurements)
+    except Exception as exc:  # compared with the lockstep row's exception
+        return exc
+
+
+def _assert_same(expected, got):
+    if isinstance(expected, Exception):
+        assert type(got) is type(expected)
+        assert str(got) == str(expected)
+        assert getattr(got, "step_index", None) == getattr(expected, "step_index", None)
+    else:
+        assert not isinstance(got, Exception), got
+        assert np.array_equal(got, expected)
+
+
+def _assert_same_details(outputs, columns):
+    if isinstance(outputs, Exception):
+        _assert_same(outputs, columns)
+        return
+    assert list(columns) == list(DETAIL_FIELDS)
+    for name, field in DETAIL_FIELDS.items():
+        expected = np.array([getattr(o, field) for o in outputs])
+        assert columns[name].dtype == expected.dtype, name
+        assert np.array_equal(columns[name], expected), name
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_matches_run(case, scenario_traces):
+    variance, times, measurements = scenario_traces
+    make = CASES[case]
+    got = make(variance).run_lockstep(times, measurements)
+    assert len(got) == len(times)
+    for t, y, row in zip(times, measurements, got):
+        _assert_same(make(variance).run(t, y), row)
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c.startswith("rvm_rls")])
+def test_detailed_columns_match_run_detailed(case, scenario_traces):
+    variance, times, measurements = scenario_traces
+    make = CASES[case]
+    got = make(variance).run_lockstep_detailed(times, measurements)
+    for t, y, columns in zip(times, measurements, got):
+        _assert_same_details(make(variance).run_detailed(t, y), columns)
+
+
+def _broken_batch(times, measurements):
+    """Eight traces of ``TRACE_LENGTH`` or fewer samples; rows 1 to 7 each
+    fail in their own way, or end early."""
+    times = [t.copy() for t in times[:8]]
+    measurements = [y.copy() for y in measurements[:8]]
+    measurements[1][100 + 7] = np.nan          # non-finite measurement
+    times[2] = times[2][:60]                   # shorter than init_window
+    measurements[2] = measurements[2][:60]
+    measurements[3][100 + 11] = 1.7e308        # finite, but overflows the state
+    times[4][100 + 5] = times[4][100 + 4]      # clock does not advance
+    times[5] = times[5][:250]                  # ends early, and cleanly
+    measurements[5] = measurements[5][:250]
+    measurements[6][50] = 1e200                # window variance overflows
+    times[7][100 + 50:] += 1e80                # the basis overflows
+    return times, measurements
+
+
+FAILING = dict(RECURSIVE, rvm_rls_no_gate=CASES["rvm_rls_no_gate"],
+               rvm_rls_recurse_no_gate=CASES["rvm_rls_recurse_no_gate"],
+               rvm_rls_gram=CASES["rvm_rls_gram"])
+# what run raises on rows of the broken batch where the filters differ
+DIVERGES = "parameter vector became non-finite (step_index=111)"
+RAISES = {
+    "rls": {3: DIVERGES}, "gvff_rls": {3: DIVERGES},
+    "rvm_rls_no_gate": {3: DIVERGES}, "rvm_rls_recurse_no_gate": {3: DIVERGES},
+    "rvm_rls_gram": {6: "sigma2_prev must be finite"},
+    # a level tracker has no basis to overflow, and 1e80 + 151 == 1e80 + 150
+    "lms": {7: "time must increase strictly (got 1e+80 after 1e+80)"},
+}
+
+
+@pytest.mark.parametrize("case", list(FAILING))
+def test_failing_rows_match_run_and_leave_the_others(case, scenario_traces):
+    variance, times, measurements = scenario_traces
+    make = FAILING[case]
+    times, measurements = _broken_batch(times, measurements)
+    expected = [_single(make(variance).run, t, y) for t, y in zip(times, measurements)]
+    raises = {1: "time and measurement must be finite",
+              2: "trace shorter than the initialization window (60 < 100)",
+              4: "time must increase strictly (got 104.0 after 104.0)",
+              7: "prediction became non-finite (step_index=150)",
+              **RAISES.get(case, {})}
+    assert {r: str(expected[r]) for r in raises} == raises
+    assert len(expected[5]) == 150
+    with np.errstate(over="ignore", invalid="ignore"):  # row 6's fit overflows
+        got = make(variance).run_lockstep(times, measurements)
+    for e, g in zip(expected, got):
+        _assert_same(e, g)
+    if case.startswith("rvm_rls"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            details = make(variance).run_lockstep_detailed(times, measurements)
+        for t, y, columns in zip(times, measurements, details):
+            _assert_same_details(_single(make(variance).run_detailed, t, y), columns)
+
+
+@pytest.mark.parametrize("case", list(FAILING))
+def test_overflowing_rows_raise_no_numpy_warning(case, scenario_traces):
+    # the warnings filter turns a RuntimeWarning into an error; the fits
+    # are clean, and the steps of the overflowing rows 3 and 7 warn nowhere
+    variance, times, measurements = scenario_traces
+    times, measurements = _broken_batch(times, measurements)
+    rows = [0, 3, 7]
+    got = FAILING[case](variance).run_lockstep([times[r] for r in rows],
+                                               [measurements[r] for r in rows])
+    for r, g in zip(rows, got):
+        _assert_same(_single(FAILING[case](variance).run, times[r], measurements[r]), g)
+
+
+@pytest.mark.parametrize("case", list(RECURSIVE))
+def test_one_trace_takes_the_run_path(case, scenario_traces, monkeypatch):
+    variance, times, measurements = scenario_traces
+    filt = RECURSIVE[case](variance)
+
+    def no_lockstep(*args):
+        raise AssertionError("a single trace must not take the lockstep path")
+
+    monkeypatch.setattr(type(filt), "_lockstep_step", no_lockstep)
+    (got,) = filt.run_lockstep(times[:1], measurements[:1])
+    assert np.array_equal(got, RECURSIVE[case](variance).run(times[0], measurements[0]))
+    if case == "rvm_rls":
+        (columns,) = filt.run_lockstep_detailed(times[:1], measurements[:1])
+        _assert_same_details(filt.run_detailed(times[0], measurements[0]), columns)
+
+
+def test_particle_filter_runs_each_trace_alone(scenario_traces):
+    _, times, measurements = scenario_traces
+    filt = BootstrapParticleFilter(particle_count=20, seed=3)
+    got = filt.run_lockstep(times[:2], measurements[:2])
+    for t, y, row in zip(times, measurements, got):
+        assert np.array_equal(row, BootstrapParticleFilter(
+            particle_count=20, seed=3).run(t, y))
+    assert not hasattr(filt, "is_fitted_")  # the filter itself stays unfitted
+
+
+def test_lockstep_leaves_the_filter_unfitted(scenario_traces):
+    _, times, measurements = scenario_traces
+    filt = StaticRls()
+    filt.run_lockstep(times[:3], measurements[:3])
+    assert not hasattr(filt, "is_fitted_")

@@ -143,3 +143,13 @@ class TestReportCsv:
     def test_bad_header(self):
         with pytest.raises(InvalidInputError):
             reports_from_csv("a,b\n1,2\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("rvm_rls,0.1,abc,1,1,s1,0", "reports line 3, column mse: expected float, got 'abc'"),
+        ("rvm_rls,0.1,0.2", "reports line 3: expected 7 columns, got 3"),
+    ], ids=["mse_abc", "three_columns"])
+    def test_malformed_row_names_line_and_column(self, row, message):
+        text = reports_to_csv([_report()]) + row + "\n"
+        with pytest.raises(InvalidInputError) as err:
+            reports_from_csv(text)
+        assert str(err.value) == message
