@@ -169,13 +169,13 @@ class StreamingFilter:
 
     # The fitted attributes a lockstep run stacks, one row per trace, and
     # the (name, dtype) of each per-step column it returns.
-    _LOCKSTEP_STATE = ("theta_", "last_time_")
+    _LOCKSTEP_STATE = ("theta_",)
     _LOCKSTEP_COLUMNS = (("prediction", float),)
     # ``_lockstep_step(s, j)`` is one ``step`` of every row of the state
     # ``s``, on sample ``init_window + j``: it returns the step's columns and
-    # writes the new state into ``s`` only once every guard has passed; a
-    # guard that fails raises ``_RowsFailed``. A class without one runs each
-    # trace through ``run``.
+    # writes the new state into ``s`` only once no guard has flagged a row;
+    # a guard that may fail raises ``_RowsFailed`` with its rows. A class
+    # without one runs each trace through ``run``.
     _lockstep_step = None
 
     def run_lockstep(self, times_list, measurements_list) -> list:
@@ -183,10 +183,12 @@ class StreamingFilter:
 
         Returns one entry per trace: its predictions, or the exception
         ``run`` raises on it. The filter itself is left as it was. The
-        recursive filters advance all copies one sample at a time with
-        stacked numpy calls whose results are bit-identical to ``run``'s;
-        a single trace, and a filter without a lockstep step (the particle
-        filter), go through ``run``.
+        recursive filters advance the copies of regular traces together,
+        one sample at a time, with stacked numpy calls whose results are
+        bit-identical to ``run``'s. This path only detects: a trace that is
+        not regular, or whose row a guard flags, goes through ``run``, which
+        alone decides and words a failure. So do a single trace and a
+        filter without a lockstep step (the particle filter).
         """
         return [out if isinstance(out, Exception) else out["prediction"]
                 for out in self._lockstep_columns(times_list, measurements_list)]
@@ -199,83 +201,77 @@ class StreamingFilter:
         first) or the exception the single-filter path raises on it."""
         if len(times_list) != len(measurements_list):
             raise InvalidInputError("times_list and measurements_list must match in length")
-        if self._lockstep_step is None or len(times_list) < 2:
-            return [_outcome(self._single_columns, times, measurements)
-                    for times, measurements in zip(times_list, measurements_list)]
-        outcomes = [None] * len(times_list)
-        rows = []
-        for k, trace in enumerate(zip(times_list, measurements_list)):
-            filt = self._copy()
-            try:
-                rows.append((k, filt, *filt._begin(*trace)))
-            except Exception as exc:  # recorded as run would raise it
-                outcomes[k] = exc
-        if rows:
-            self._lockstep(rows, outcomes)
-        return outcomes
+        traces = list(zip(times_list, measurements_list))
+        if self._lockstep_step is None or len(traces) < 2:
+            return [_outcome(self._single_columns, *trace) for trace in traces]
+        outcomes = self._lockstep(traces)
+        with np.errstate(all="ignore"):  # as in the lockstep loop
+            return [_outcome(self._single_columns, *trace) if out is None else out
+                    for trace, out in zip(traces, outcomes)]
 
     def _single_columns(self, times, measurements) -> dict:
         return {"prediction": self._copy().run(times, measurements)}
 
-    def _lockstep(self, rows, outcomes):
-        """Advance the fitted copies in ``rows`` (``(trace index, filter,
-        times, measurements)``) together and fill ``outcomes``. A row whose
-        step fails at a guard is dropped there with the exception its own
-        ``step`` raises; the step is then redone for the other rows, whose
-        state it has not touched yet. A row whose trace ends is dropped
-        with its columns."""
+    def _lockstep(self, traces) -> list:
+        """Advance one fitted copy per regular trace of ``traces`` together;
+        returns per trace its columns, the exception its fit raised, or None
+        where ``run`` must decide. A trace is regular when its fit succeeds,
+        it is as long as the first fitted trace, and every post-window
+        sample passes ``step``'s input checks: finite values, strictly
+        increasing times and a finite scaled time. A row that a guard flags
+        leaves the batch, and the step is redone for the rest, whose state
+        it has not touched yet."""
         n0 = self.init_window
-        steps = [len(times) - n0 for _, _, times, _ in rows]
-        width = max(steps)
-        s = _Rows()
-        s.index = np.array([k for k, *_ in rows])
-        s.steps = np.array(steps)
-        s.times = np.full((len(rows), width), np.nan)
-        s.measurements = np.full((len(rows), width), np.nan)
-        for r, (_, _, times, measurements) in enumerate(rows):
-            s.times[r, :steps[r]] = times[n0:]
-            s.measurements[r, :steps[r]] = measurements[n0:]
-        self._stack_state(s, [filt for _, filt, _, _ in rows])
-        columns = {name: np.zeros((len(outcomes), width), dtype=dtype)
-                   for name, dtype in self._LOCKSTEP_COLUMNS}
-        ends = set(steps)
-        j = 0
-        # numpy's floating-point warnings stay off: a row's overflow reaches
-        # the same guard as in ``step``, and must not stop the other rows
+        outcomes = [None] * len(traces)
+        rows = []
+        for k, trace in enumerate(traces):
+            filt = self._copy()
+            try:
+                rows.append((k, filt, *filt._begin(*trace)))
+            except Exception as exc:  # raised by run's own first call
+                outcomes[k] = exc
+        if not rows:
+            return outcomes
+        length = len(rows[0][2])
+        rows = [row for row in rows if len(row[2]) == length]
+        times = np.array([row[2] for row in rows])
+        measurements = np.array([row[3] for row in rows])
+        # numpy's floating-point warnings stay off: a guard flags a row's
+        # overflow, which must not stop the other rows
         with np.errstate(all="ignore"):
+            tau = times[:, n0:] / self.scale_divisor
+            regular = ((np.isfinite(times) & np.isfinite(measurements)).all(axis=1)
+                       & (times[:, n0:] > times[:, n0 - 1:-1]).all(axis=1)
+                       & np.isfinite(tau).all(axis=1))
+            live = np.flatnonzero(regular)
+            s = _Rows()
+            s.index = np.array([rows[r][0] for r in live], dtype=int)
+            self._stack_state(s, [rows[r][1] for r in live])
+            s.measurements = measurements[regular, n0:]
             # every step's regressor at once: the cumulative product is
             # poly_basis's chain of multiplications
-            tau = s.times / self.scale_divisor
-            phi = np.empty(tau.shape + (self.degree + 1,))
+            phi = np.empty(s.measurements.shape + (self.degree + 1,))
             phi[..., 0] = 1.0
-            phi[..., 1:] = tau[..., None]
+            phi[..., 1:] = tau[regular, :, None]
             s.phi = np.cumprod(phi, axis=2)
-            # the steps at which some row's input fails a clock or basis check
-            previous = np.column_stack([s.last_time_, s.times[:, :-1]])
-            valid = (np.isfinite(s.times) & np.isfinite(s.measurements)
-                     & (s.times > previous) & np.isfinite(tau))
-            s.input_errors = {int(np.argmin(ok[:n])) for ok, n in zip(valid, steps)
-                              if not ok[:n].all()}
+            width = s.measurements.shape[1]
+            columns = {name: np.zeros((len(traces), width), dtype=dtype)
+                       for name, dtype in self._LOCKSTEP_COLUMNS}
+            j = 0
             while j < width and len(s.index):
-                if j in ends:  # rows whose traces have ended
-                    s.take(s.steps > j)
-                    ends.discard(j)
-                    continue
                 try:
                     out = self._lockstep_step(s, j)
-                except _RowsFailed as failed:
+                except _RowsFailed as flagged:
                     keep = np.ones(len(s.index), dtype=bool)
-                    for r, exc in failed.errors:
-                        outcomes[s.index[r]] = exc
-                        keep[r] = False
+                    keep[flagged.args[0]] = False
                     s.take(keep)
                     continue
                 for column, values in zip(columns.values(), out):
                     column[s.index, j] = values
                 j += 1
-        for (k, _, _, _), n in zip(rows, steps):
-            if outcomes[k] is None:
-                outcomes[k] = {name: column[k, :n] for name, column in columns.items()}
+        for k in s.index:
+            outcomes[k] = {name: column[k] for name, column in columns.items()}
+        return outcomes
 
     def _stack_state(self, s, filters):
         for name in self._LOCKSTEP_STATE:
@@ -283,31 +279,12 @@ class StreamingFilter:
 
     def _predict_rows(self, s, j):
         """``_predict`` of step ``j`` for every row: returns ``(phi,
-        prediction, residual)``. Unless a row's input fails at this step or
-        a residual is not finite, no guard needs checking row by row."""
+        prediction, residual)``. The inputs passed their checks before the
+        loop, so a row is flagged only for a non-finite residual."""
         phi = s.phi[:, j]
         prediction = np.matmul(phi[:, None, :], s.theta_[:, :, None])[:, 0, 0]
         residual = s.measurements[:, j] - prediction
-        if j in s.input_errors or not np.isfinite(residual).all():
-            errors = []
-            for r in range(len(residual)):
-                t_raw, y = float(s.times[r, j]), float(s.measurements[r, j])
-                last = float(s.times[r, j - 1] if j else s.last_time_[r])
-                if not (math.isfinite(t_raw) and math.isfinite(y)):
-                    exc = InvalidInputError("time and measurement must be finite")
-                elif t_raw <= last:
-                    exc = InvalidInputError(
-                        f"time must increase strictly (got {t_raw} after {last})")
-                elif not math.isfinite(t_raw / self.scale_divisor):
-                    exc = InvalidInputError("tau must be finite")
-                elif not math.isfinite(prediction[r]):
-                    exc = NumericalDivergenceError("prediction became non-finite",
-                                                   self.init_window + j)
-                else:
-                    continue
-                errors.append((r, exc))
-            if errors:
-                raise _RowsFailed(errors)
+        _flag_nonfinite(residual)
         return phi, prediction, residual
 
 
@@ -325,21 +302,24 @@ def _outcome(fn, *args):
 
 
 class _RowsFailed(Exception):
-    """Raised inside a lockstep step: ``errors`` lists ``(row, exception)``
-    for the rows whose own ``step`` raises at that point."""
-
-    def __init__(self, errors):
-        super().__init__(errors)
-        self.errors = errors
+    """Raised inside a lockstep step with the positions of the rows of the
+    state that a guard flags there."""
 
 
-def _check_rows(bad, rows, error):
-    """Raise ``_RowsFailed`` for each position flagged in the boolean array
-    ``bad``, with the exception ``error(position)``; ``rows`` maps positions
-    to rows of the state (None: the same)."""
+def _flag(bad, rows=None):
+    """Raise ``_RowsFailed`` for the positions flagged in the boolean array
+    ``bad``; ``rows`` maps positions to rows of the state (None: the
+    same)."""
     if bad.any():
-        raise _RowsFailed([(r if rows is None else rows[r], error(r))
-                           for r in np.flatnonzero(bad)])
+        raise _RowsFailed(np.flatnonzero(bad) if rows is None else rows[bad])
+
+
+def _flag_nonfinite(x, rows=None):
+    """``_flag`` each position whose entry (or row) of ``x`` is not finite,
+    after the whole-array check that almost always passes."""
+    finite = np.isfinite(x)
+    if not finite.all():
+        _flag(~finite.reshape(len(x), -1).all(axis=1), rows)
 
 
 class _Rows:
@@ -441,12 +421,11 @@ class ForgettingFactorCore(StreamingFilter):
         s.f_order = np.array([f.L_.flags.f_contiguous and not f.L_.flags.c_contiguous
                               for f in filters])
 
-    def _absorb_rows(self, s, rows, phi, lam, residual, j):
-        """``_absorb`` of step ``j`` for the rows ``rows`` of ``s`` (None:
-        all), each under its own forgetting factor in the array ``lam``.
-        Returns ``(theta, L, f_order, gain)`` for those rows without storing
-        them; a failing guard raises ``_RowsFailed``."""
-        step_index = self.init_window + j
+    def _absorb_rows(self, s, rows, phi, lam, residual):
+        """``_absorb`` for the rows ``rows`` of ``s`` (None: all), each under
+        its own forgetting factor in the array ``lam``. Returns ``(theta, L,
+        f_order, gain)`` for those rows without storing them; a guard that
+        may fail raises ``_RowsFailed``."""
         if rows is None:
             theta, L, f_order = s.theta_, s.L_, s.f_order
         else:
@@ -458,9 +437,7 @@ class ForgettingFactorCore(StreamingFilter):
             v[f_rows] = np.matmul(phi[f_rows, None, :], L_f)[:, 0]
         vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         denom = lam + vv
-        _check_rows(denom < GAIN_DENOMINATOR_FLOOR, rows,
-                    lambda r: NumericalDivergenceError("gain denominator collapsed",
-                                                       step_index))
+        _flag(denom < GAIN_DENOMINATOR_FLOOR, rows)
         Lv = np.matmul(L, v[:, :, None])[:, :, 0]
         if len(f_rows):
             Lv[f_rows] = np.matmul(L_f, v[f_rows, :, None])[:, :, 0]
@@ -478,11 +455,7 @@ class ForgettingFactorCore(StreamingFilter):
         else:
             f_order = np.zeros(len(vv), dtype=bool)
         theta = theta + gain * residual[:, None]
-        if not np.isfinite(theta).all():
-            _check_rows(~np.isfinite(theta).all(axis=1), rows,
-                        lambda r: NumericalDivergenceError(
-                            f"{'parameter vector' if np.isfinite(gain[r]).all() else 'gain'}"
-                            " became non-finite", step_index))
+        _flag_nonfinite(theta, rows)
         return theta, L_new, f_order, gain
 
     @property

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .base import (ForgettingFactorCore, StreamingFilter, _check_rows, _f_ordered,
+from .base import (ForgettingFactorCore, StreamingFilter, _f_ordered, _flag_nonfinite,
                    all_finite)
 from .exceptions import InvalidInputError, NumericalDivergenceError
 from .regression import batch_least_squares, poly_basis
@@ -101,8 +101,7 @@ class StaticRls(ForgettingFactorCore):
     def _lockstep_step(self, s, j):
         phi, prediction, residual = self._predict_rows(s, j)
         lam = np.full(len(prediction), float(self.forgetting))
-        s.theta_, s.L_, s.f_order, _ = self._absorb_rows(
-            s, None, phi, lam, residual, j)
+        s.theta_, s.L_, s.f_order, _ = self._absorb_rows(s, None, phi, lam, residual)
         return (prediction,)
 
 
@@ -177,7 +176,7 @@ class GvffRls(ForgettingFactorCore):
         phi_psi = np.matmul(phi[:, None, :], s.psi_[:, :, None])[:, 0, 0]
         lam = np.minimum(np.maximum(s.lambda_ + self.alpha * e * phi_psi,
                                     self.lambda_min), self.lambda_max)
-        theta, L, f_order, gain = self._absorb_rows(s, None, phi, lam, e, j)
+        theta, L, f_order, gain = self._absorb_rows(s, None, phi, lam, e)
         gain_col = gain[:, :, None]
         gain_row = gain[:, None, :]
         AS = s.S_ - gain_col * np.matmul(phi[:, None, :], s.S_)
@@ -189,9 +188,7 @@ class GvffRls(ForgettingFactorCore):
         S = (ASA + gain_col * gain_row - P) / lam[:, None, None]
         psi = (s.psi_ - gain * phi_psi[:, None]
                + np.matmul(S, phi[:, :, None])[:, :, 0] * e[:, None])
-        _check_rows(~np.isfinite(psi).all(axis=1), None,
-                    lambda r: NumericalDivergenceError(
-                        "sensitivity vector became non-finite", self.init_window + j))
+        _flag_nonfinite(psi)
         s.theta_, s.L_, s.f_order, s.lambda_, s.S_, s.psi_ = theta, L, f_order, lam, S, psi
         return (prediction,)
 

@@ -12,6 +12,12 @@ from dataclasses import dataclass
 from .exceptions import InvalidInputError
 
 
+def _require_finite(**values):
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WaypointGeometry:
     """One ranging configuration: gimbal pitch/yaw, slant distance,
@@ -25,6 +31,7 @@ class WaypointGeometry:
     gimbal_std: float = 0.0
 
     def __post_init__(self):
+        _require_finite(**vars(self))
         if self.lidar_distance <= 0:
             raise InvalidInputError("lidar_distance must be positive")
         if self.lidar_std < 0 or self.gimbal_std < 0:
@@ -67,6 +74,8 @@ def waypoint_std(lidar_distance: float, pitch: float,
     At phi = pi/2 only the rangefinder matters; at phi = 0 only the gimbal
     does, amplified by the slant distance.
     """
+    _require_finite(lidar_distance=lidar_distance, pitch=pitch,
+                    lidar_std=lidar_std, gimbal_std=gimbal_std)
     if lidar_distance <= 0:
         raise InvalidInputError("lidar_distance must be positive")
     s, c = math.sin(pitch), math.cos(pitch)

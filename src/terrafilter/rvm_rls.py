@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ForgettingFactorCore, _RowsFailed
+from .base import ForgettingFactorCore, _flag_nonfinite
 from .exceptions import InvalidInputError
 
 
@@ -71,7 +71,8 @@ class RvmRls(ForgettingFactorCore):
     step_size : gradient-descent step for the forgetting factor.
     cost_gain : proportionality constant in the variance-matching cost.
     lambda_min, lambda_max : clip range of the forgetting factor.
-    lambda_init : starting forgetting factor (clipped into range).
+    lambda_init : starting forgetting factor; must be finite, and is
+        clipped into range.
     target_noise_variance : known measurement-noise variance used as the
         matching target and the outlier gate; ``None`` uses the
         initialization window's residual variance estimate.
@@ -114,6 +115,8 @@ class RvmRls(ForgettingFactorCore):
         super()._validate_params()
         if not (0.0 < self.lambda_min <= self.lambda_max <= 1.0):
             raise InvalidInputError("need 0 < lambda_min <= lambda_max <= 1")
+        if not math.isfinite(self.lambda_init):  # a finite one is clipped
+            raise InvalidInputError(f"lambda_init must be finite, got {self.lambda_init!r}")
         for name in ("step_size", "cost_gain", "target_noise_variance"):
             value = getattr(self, name)
             if value is None and name == "target_noise_variance":
@@ -234,23 +237,15 @@ class RvmRls(ForgettingFactorCore):
                                     if rows is None else
                                     (s.sigma2_hat_[rows], s.lambda_[rows],
                                      s.sigma2_target_[rows]))
-        # variance_cost's arithmetic, in its order. A non-finite input always
-        # leaves a non-finite gradient, so only such rows need its checks.
+        # variance_cost's arithmetic, in its order; a non-finite input always
+        # leaves a non-finite gradient, so this flag covers its checks
         r2 = residual * residual
         sigma2_hat = lam * sigma2_prev + (1.0 - lam) * r2
         gradient = 2.0 * self.cost_gain * (sigma2_hat - target) * (sigma2_prev - r2)
-        errors = []
-        for i in np.flatnonzero(~np.isfinite(gradient)):
-            try:
-                variance_cost(float(sigma2_prev[i]), float(residual[i]), float(lam[i]),
-                              self.cost_gain, float(target[i]))
-            except InvalidInputError as exc:
-                errors.append((i if rows is None else rows[i], exc))
-        if errors:
-            raise _RowsFailed(errors)
+        _flag_nonfinite(gradient, rows)
         lam = np.minimum(np.maximum(lam - self.step_size * gradient,
                                     self.lambda_min), self.lambda_max)
-        theta, L, f_order, _ = self._absorb_rows(s, rows, phi, lam, residual, j)
+        theta, L, f_order, _ = self._absorb_rows(s, rows, phi, lam, residual)
         if rows is None:
             s.theta_, s.L_, s.f_order, s.lambda_, s.sigma2_hat_ = (
                 theta, L, f_order, lam, sigma2_hat)

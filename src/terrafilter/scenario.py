@@ -5,6 +5,7 @@ terrain, a constant-clearance reference trajectory above it, and noisy
 measurements corrupted by a configurable fraction of impulsive outliers.
 """
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -12,6 +13,15 @@ import numpy as np
 from .exceptions import InvalidInputError
 
 TRACE_HEADER = ["t", "H", "p", "z", "outlier"]
+
+
+def _require_finite(params):
+    """Reject a non-finite float in a field, or a tuple field, of the
+    dataclass ``params``."""
+    for name, value in vars(params).items():
+        values = value if isinstance(value, tuple) else (value,)
+        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in values):
+            raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,10 +36,9 @@ class TerrainParams:
     phase: float = 0.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.envelope_sigma <= 0:
             raise InvalidInputError("envelope_sigma must be positive")
-        if not np.isfinite(self.amplitude):
-            raise InvalidInputError("amplitude must be finite")
 
 
 def terrain_height(t, params: TerrainParams = TerrainParams()):
@@ -64,6 +73,7 @@ class ScenarioConfig:
     terrain: TerrainParams = field(default_factory=TerrainParams)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.sample_count <= 0:
             raise InvalidInputError("sample_count must be positive")
         if self.noise_variance < 0:
@@ -77,6 +87,9 @@ class ScenarioConfig:
             )
         if not (0 <= self.clean_prefix < self.sample_count):
             raise InvalidInputError("clean_prefix must lie in [0, sample_count)")
+        if round(self.outlier_fraction * self.sample_count) > self.sample_count - self.clean_prefix:
+            raise InvalidInputError(
+                "outlier_fraction asks for more outliers than samples after clean_prefix")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
 

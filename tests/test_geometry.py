@@ -38,6 +38,16 @@ class TestNextWaypoint:
             WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0,
                              clearance=5.0, lidar_std=-0.1)
 
+    @pytest.mark.parametrize("name", ["pitch", "yaw", "lidar_distance", "clearance",
+                                      "lidar_std", "gimbal_std"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_geometry_rejected(self, name, value):
+        fields = dict(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.0,
+                      lidar_std=0.1, gimbal_std=0.01)
+        fields[name] = value
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            WaypointGeometry(**fields)
+
 
 class TestVerticalRecursion:
     def test_level_flight_fixed_point(self):
@@ -98,3 +108,12 @@ class TestWaypointStd:
     def test_invalid_distance(self):
         with pytest.raises(InvalidInputError):
             waypoint_std(0.0, 0.5, 0.05, 0.002)
+
+    @pytest.mark.parametrize("position, name", enumerate(
+        ["lidar_distance", "pitch", "lidar_std", "gimbal_std"]))
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_input_rejected(self, position, name, value):
+        args = [20.0, 0.5, 0.05, 0.002]
+        args[position] = value
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            waypoint_std(*args)

@@ -8,11 +8,14 @@ and step index. The benchmark traces are cut to their first
 checked against the goldens by the benchmark tests.
 """
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from terrafilter import (BootstrapParticleFilter, GvffRls, NormalizedLms,
-                         RvmRls, StaticRls, synthesize)
+                         RvmRls, ScenarioConfig, StaticRls, synthesize)
 from terrafilter.bench import load_config
 
 from goldens import BENCHMARK_CONFIG
@@ -84,7 +87,8 @@ def _assert_same_details(outputs, columns):
     assert list(columns) == list(DETAIL_FIELDS)
     for name, field in DETAIL_FIELDS.items():
         expected = np.array([getattr(o, field) for o in outputs])
-        assert columns[name].dtype == expected.dtype, name
+        if outputs:  # no steps give an untyped (float) empty list
+            assert columns[name].dtype == expected.dtype, name
         assert np.array_equal(columns[name], expected), name
 
 
@@ -175,6 +179,22 @@ def test_overflowing_rows_raise_no_numpy_warning(case, scenario_traces):
         _assert_same(_single(FAILING[case](variance).run, times[r], measurements[r]), g)
 
 
+@pytest.mark.parametrize("case", list(FAILING))
+def test_guard_at_the_last_step_is_not_missed(case, scenario_traces):
+    # no later step flags these rows again: each guard must flag them itself
+    # (1e308 overflows the parameters; for gvff_rls on terrain_outliers,
+    # 1e306 overflows only the sensitivity vector)
+    variance, times, measurements = scenario_traces
+    times, measurements = times[:3], [y.copy() for y in measurements[:3]]
+    measurements[1][-1] = 1e308
+    measurements[2][-1] = 1e306
+    make = FAILING[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = make(variance).run_lockstep(times, measurements)
+    for t, y, row in zip(times, measurements, got):
+        _assert_same(_single(make(variance).run, t, y), row)
+
+
 @pytest.mark.parametrize("case", list(RECURSIVE))
 def test_one_trace_takes_the_run_path(case, scenario_traces, monkeypatch):
     variance, times, measurements = scenario_traces
@@ -206,3 +226,95 @@ def test_lockstep_leaves_the_filter_unfitted(scenario_traces):
     filt = StaticRls()
     filt.run_lockstep(times[:3], measurements[:3])
     assert not hasattr(filt, "is_fitted_")
+
+
+def test_flagged_row_that_step_survives_gets_runs_predictions(scenario_traces,
+                                                               monkeypatch):
+    # 2 * cost_gain overflows, so every gradient is infinite with finite
+    # inputs: lockstep flags each row at its first update, while step clips
+    # lambda to a bound and goes on
+    _, times, measurements = scenario_traces
+    reruns = []
+    single_columns = RvmRls._single_columns
+    monkeypatch.setattr(RvmRls, "_single_columns", lambda self, *trace: (
+        reruns.append(trace) or single_columns(self, *trace)))
+    got = RvmRls(cost_gain=1e308).run_lockstep(times[:4], measurements[:4])
+    assert len(reruns) == 4
+    for t, y, row in zip(times, measurements, got):
+        _assert_same(RvmRls(cost_gain=1e308).run(t, y), row)
+
+
+# -- property: any corruption of a small batch, and lockstep still says what
+# -- run says, trace by trace
+
+PROPERTY_WINDOW = 30
+PROPERTY_LENGTH = 60
+PROPERTY_FILTERS = {
+    "rvm_rls": lambda: RvmRls(init_window=PROPERTY_WINDOW, target_noise_variance=0.09),
+    # the gate skips every spike; without it, spikes reach variance_cost
+    "rvm_rls_no_gate": lambda: RvmRls(init_window=PROPERTY_WINDOW, outlier_gate=False),
+    "rls": lambda: StaticRls(init_window=PROPERTY_WINDOW),
+    "gvff_rls": lambda: GvffRls(init_window=PROPERTY_WINDOW),
+    "lms": lambda: NormalizedLms(init_window=PROPERTY_WINDOW),
+}
+
+
+@functools.cache
+def _property_traces():
+    scenario = ScenarioConfig(name="terrain_outliers", clean_prefix=PROPERTY_WINDOW)
+    traces = [synthesize(scenario.with_seed(seed)) for seed in range(4)]
+    return [(t.times[:PROPERTY_LENGTH], t.measurement[:PROPERTY_LENGTH]) for t in traces]
+
+
+# a guard missed at the last step is not caught by a later one, so the
+# last sample is drawn more often
+_POSITION = st.integers(1, PROPERTY_LENGTH - 1) | st.just(PROPERTY_LENGTH - 1)
+CORRUPTIONS = st.one_of(
+    st.just(("none",)),
+    st.tuples(st.just("nan"), _POSITION, st.booleans()),
+    st.tuples(st.just("spike"), _POSITION,
+              st.sampled_from([1e6, 1e100, 1e200, 1.7e308, -1.7e308])),
+    # times stay increasing, but the basis overflows from here on
+    st.tuples(st.just("scale"), _POSITION, st.sampled_from([1e30, 1e78, 1e200])),
+    st.tuples(st.just("repeat"), _POSITION),
+    st.tuples(st.just("decrease"), _POSITION),
+    st.tuples(st.just("truncate"), st.integers(PROPERTY_WINDOW - 5, PROPERTY_LENGTH - 1)),
+)
+
+
+def _corrupt(seed, corruption):
+    times, measurements = (a.copy() for a in _property_traces()[seed])
+    kind, *args = corruption
+    if kind == "nan":
+        position, in_time = args
+        (times if in_time else measurements)[position] = np.nan
+    elif kind == "spike":
+        position, value = args
+        measurements[position] = value
+    elif kind == "scale":
+        position, factor = args
+        times[position:] *= factor
+    elif kind == "repeat":
+        times[args[0]] = times[args[0] - 1]
+    elif kind == "decrease":
+        times[args[0]] = times[args[0] - 1] - 0.5
+    elif kind == "truncate":
+        times, measurements = times[:args[0]], measurements[:args[0]]
+    return times, measurements
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(st.integers(0, 3), CORRUPTIONS), min_size=2, max_size=5))
+def test_any_corrupted_batch_matches_run(batch):
+    traces = [_corrupt(seed, corruption) for seed, corruption in batch]
+    times = [t for t, _ in traces]
+    measurements = [y for _, y in traces]
+    with np.errstate(all="ignore"):  # the corrupted traces overflow on purpose
+        for name, make in PROPERTY_FILTERS.items():
+            got = make().run_lockstep(times, measurements)
+            for (t, y), row in zip(traces, got):
+                _assert_same(_single(make().run, t, y), row)
+            if name.startswith("rvm_rls"):
+                details = make().run_lockstep_detailed(times, measurements)
+                for (t, y), columns in zip(traces, details):
+                    _assert_same_details(_single(make().run_detailed, t, y), columns)

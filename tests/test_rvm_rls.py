@@ -66,6 +66,18 @@ class TestInit:
         f = RvmRls(init_window=30, lambda_init=0.99).fit(t, y)
         assert f.lambda_ == 0.95
 
+    @pytest.mark.parametrize("lam", [-1.0, 2.0])
+    def test_finite_lambda_init_out_of_range_is_clipped(self, lam):
+        t, y = _cubic_window()
+        f = RvmRls(init_window=30, lambda_init=lam).fit(t, y)
+        assert f.lambda_ == (0.85 if lam < 0.85 else 0.95)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_init_rejected_at_fit(self, lam):
+        t, y = _cubic_window()
+        with pytest.raises(InvalidInputError, match="lambda_init must be finite"):
+            RvmRls(init_window=30, lambda_init=lam).fit(t, y)
+
     def test_sigma2_target_sampling_band(self):
         # chi^2-scaled estimate with 25 degrees of freedom stays inside the
         # [0.03, 0.27] band for sigma^2 = 0.09 across many seeds

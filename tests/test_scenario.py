@@ -32,6 +32,13 @@ class TestTerrainHeight:
         with pytest.raises(InvalidInputError):
             TerrainParams(envelope_sigma=0.0)
 
+    @pytest.mark.parametrize("name", ["amplitude", "center", "envelope_sigma",
+                                      "omega", "phase"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            TerrainParams(**{name: value})
+
 
 class TestSynthesize:
     def test_clean_scenario_is_exact(self):
@@ -84,6 +91,32 @@ class TestSynthesize:
             ScenarioConfig(outlier_band=(-2.0, 2.0))
         with pytest.raises(InvalidInputError):
             synthesize(ScenarioConfig(noise_variance=0.0))
+
+    @pytest.mark.parametrize("name, value", [
+        ("clearance", math.inf), ("clearance", np.float32("nan")),
+        ("noise_variance", math.nan), ("noise_variance", math.inf),
+        ("outlier_fraction", math.nan),
+        ("outlier_band", (math.nan, 30.0)), ("outlier_band", (-30.0, math.inf)),
+    ])
+    def test_non_finite_field_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("fraction, prefix, ok", [
+        (0.95, 100, True),     # 1,900 outliers in the 1,900 samples after the prefix
+        (0.951, 100, False),   # 1,902 of them
+        (1.0, 100, False),
+        (1.0, 0, True),
+    ])
+    def test_outlier_count_fits_after_clean_prefix(self, fraction, prefix, ok):
+        kwargs = dict(sample_count=2000, clean_prefix=prefix, outlier_fraction=fraction)
+        if not ok:
+            with pytest.raises(InvalidInputError, match="more outliers than samples"):
+                ScenarioConfig(**kwargs)
+            return
+        trace = synthesize(ScenarioConfig(**kwargs))
+        assert not trace.outlier_mask[:prefix].any()
+        assert trace.outlier_mask.sum() == round(fraction * 2000)
 
 
 class TestTraceExport:

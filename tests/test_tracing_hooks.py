@@ -1,0 +1,38 @@
+"""The traced benchmark (``perfbench/run.py --trace 1``) patches names of the
+package from the outside: module globals such as ``bench.run_cell`` and
+class attributes such as ``ForgettingFactorCore._gain_update``. Renaming or
+deleting one of them must fail here, not only in a traced benchmark run.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from terrafilter import RvmRls, ScenarioConfig, synthesize
+
+TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer()
+
+
+def test_every_patched_name_exists_and_is_restored():
+    tracer = _tracer()
+    trace = synthesize(ScenarioConfig(sample_count=130, clean_prefix=100))
+    try:
+        tracer.install()  # looks each name up: a missing one raises KeyError
+        patched = list(tracer._restore)
+        RvmRls().run(trace.times, trace.measurement)
+    finally:
+        tracer.restore()
+    for owner, attr, original in patched:
+        assert vars(owner)[attr] is original, attr
+    summary = tracer.summary()
+    # the benchmark asserts rvm_rls.step.calls > 0: RvmRls.step must go
+    # through the patched step_detailed, and an update through _gain_update
+    assert summary["rvm_rls.step.calls"] == 30
+    assert summary["base.gain_update.calls"] >= 1
+    assert summary["regression.poly_basis.calls"] == 30
