@@ -172,10 +172,9 @@ class StreamingFilter:
     _LOCKSTEP_STATE = ("theta_",)
     _LOCKSTEP_COLUMNS = (("prediction", float),)
     # ``_lockstep_step(s, j)`` is one ``step`` of every row of the state
-    # ``s``, on sample ``init_window + j``: it returns the step's columns and
-    # writes the new state into ``s`` only once no guard has flagged a row;
-    # a guard that may fail raises ``_RowsFailed`` with its rows. A class
-    # without one runs each trace through ``run``.
+    # ``s``, on sample ``init_window + j``: it writes every row's new state
+    # into ``s`` and returns the step's columns; a guard only marks its rows
+    # in ``s.failed``. A class without one runs each trace through ``run``.
     _lockstep_step = None
 
     def run_lockstep(self, times_list, measurements_list) -> list:
@@ -186,7 +185,7 @@ class StreamingFilter:
         recursive filters advance the copies of regular traces together,
         one sample at a time, with stacked numpy calls whose results are
         bit-identical to ``run``'s. This path only detects: a trace that is
-        not regular, or whose row a guard flags, goes through ``run``, which
+        not regular, or whose row a guard marks, goes through ``run``, which
         alone decides and words a failure. So do a single trace and a
         filter without a lockstep step (the particle filter).
         """
@@ -218,9 +217,8 @@ class StreamingFilter:
         where ``run`` must decide. A trace is regular when its fit succeeds,
         it is as long as the first fitted trace, and every post-window
         sample passes ``step``'s input checks: finite values, strictly
-        increasing times and a finite scaled time. A row that a guard flags
-        leaves the batch, and the step is redone for the rest, whose state
-        it has not touched yet."""
+        increasing times and a finite scaled time. A row that a guard marks
+        leaves the batch after the step; nothing is redone."""
         n0 = self.init_window
         outcomes = [None] * len(traces)
         rows = []
@@ -236,7 +234,7 @@ class StreamingFilter:
         rows = [row for row in rows if len(row[2]) == length]
         times = np.array([row[2] for row in rows])
         measurements = np.array([row[3] for row in rows])
-        # numpy's floating-point warnings stay off: a guard flags a row's
+        # numpy's floating-point warnings stay off: a guard marks a row's
         # overflow, which must not stop the other rows
         with np.errstate(all="ignore"):
             tau = times[:, n0:] / self.scale_divisor
@@ -257,18 +255,15 @@ class StreamingFilter:
             width = s.measurements.shape[1]
             columns = {name: np.zeros((len(traces), width), dtype=dtype)
                        for name, dtype in self._LOCKSTEP_COLUMNS}
-            j = 0
-            while j < width and len(s.index):
-                try:
-                    out = self._lockstep_step(s, j)
-                except _RowsFailed as flagged:
-                    keep = np.ones(len(s.index), dtype=bool)
-                    keep[flagged.args[0]] = False
-                    s.take(keep)
-                    continue
+            for j in range(width):
+                if not len(s.index):  # an empty batch has no stacked state
+                    break
+                out = self._lockstep_step(s, j)
                 for column, values in zip(columns.values(), out):
                     column[s.index, j] = values
-                j += 1
+                if s.failed is not None:
+                    s.take(~s.failed)
+                    s.failed = None
         for k in s.index:
             outcomes[k] = {name: column[k] for name, column in columns.items()}
         return outcomes
@@ -280,11 +275,11 @@ class StreamingFilter:
     def _predict_rows(self, s, j):
         """``_predict`` of step ``j`` for every row: returns ``(phi,
         prediction, residual)``. The inputs passed their checks before the
-        loop, so a row is flagged only for a non-finite residual."""
+        loop, so a row is marked only for a non-finite residual."""
         phi = s.phi[:, j]
         prediction = np.matmul(phi[:, None, :], s.theta_[:, :, None])[:, 0, 0]
         residual = s.measurements[:, j] - prediction
-        _flag_nonfinite(residual)
+        s.mark_nonfinite(residual)
         return phi, prediction, residual
 
 
@@ -301,35 +296,29 @@ def _outcome(fn, *args):
         return exc
 
 
-class _RowsFailed(Exception):
-    """Raised inside a lockstep step with the positions of the rows of the
-    state that a guard flags there."""
-
-
-def _flag(bad, rows=None):
-    """Raise ``_RowsFailed`` for the positions flagged in the boolean array
-    ``bad``; ``rows`` maps positions to rows of the state (None: the
-    same)."""
-    if bad.any():
-        raise _RowsFailed(np.flatnonzero(bad) if rows is None else rows[bad])
-
-
-def _flag_nonfinite(x, rows=None):
-    """``_flag`` each position whose entry (or row) of ``x`` is not finite,
-    after the whole-array check that almost always passes."""
-    finite = np.isfinite(x)
-    if not finite.all():
-        _flag(~finite.reshape(len(x), -1).all(axis=1), rows)
-
-
 class _Rows:
     """The stacked state of a lockstep run: every array attribute has one
-    row per live trace."""
+    row per live trace. ``failed`` marks the rows a guard failed in the
+    current step; it is None while no guard has failed."""
+
+    failed = None
 
     def take(self, keep):
         for name, value in vars(self).items():
             if isinstance(value, np.ndarray):
                 setattr(self, name, value[keep])
+
+    def mark(self, bad):
+        """Mark the rows that are true in the boolean array ``bad``."""
+        if bad.any():
+            self.failed = bad if self.failed is None else self.failed | bad
+
+    def mark_nonfinite(self, x):
+        """Mark each row whose entry (or row) of ``x`` is not finite, after
+        the whole-array check that almost always passes."""
+        finite = np.isfinite(x)
+        if not finite.all():
+            self.mark(~finite.reshape(len(x), -1).all(axis=1))
 
 
 class ForgettingFactorCore(StreamingFilter):
@@ -421,15 +410,11 @@ class ForgettingFactorCore(StreamingFilter):
         s.f_order = np.array([f.L_.flags.f_contiguous and not f.L_.flags.c_contiguous
                               for f in filters])
 
-    def _absorb_rows(self, s, rows, phi, lam, residual):
-        """``_absorb`` for the rows ``rows`` of ``s`` (None: all), each under
-        its own forgetting factor in the array ``lam``. Returns ``(theta, L,
-        f_order, gain)`` for those rows without storing them; a guard that
-        may fail raises ``_RowsFailed``."""
-        if rows is None:
-            theta, L, f_order = s.theta_, s.L_, s.f_order
-        else:
-            theta, L, f_order = s.theta_[rows], s.L_[rows], s.f_order[rows]
+    def _absorb_rows(self, s, phi, lam, residual):
+        """``_absorb`` for every row of ``s``, each under its own forgetting
+        factor in the array ``lam``: stores the new ``theta_``, ``L_`` and
+        ``f_order`` and returns the gains. A guard marks its rows."""
+        L, f_order = s.L_, s.f_order
         v = np.matmul(phi[:, None, :], L)[:, 0]
         f_rows = np.flatnonzero(f_order)
         if len(f_rows):
@@ -437,7 +422,7 @@ class ForgettingFactorCore(StreamingFilter):
             v[f_rows] = np.matmul(phi[f_rows, None, :], L_f)[:, 0]
         vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         denom = lam + vv
-        _flag(denom < GAIN_DENOMINATOR_FLOOR, rows)
+        s.mark(denom < GAIN_DENOMINATOR_FLOOR)
         Lv = np.matmul(L, v[:, :, None])[:, :, 0]
         if len(f_rows):
             Lv[f_rows] = np.matmul(L_f, v[f_rows, :, None])[:, :, 0]
@@ -451,12 +436,13 @@ class ForgettingFactorCore(StreamingFilter):
         flat = ~(vv > 0.0)
         if flat.any():  # no update direction: L / sqrt(lam), in L's order
             L_new[flat] = L[flat] / root[flat]
-            f_order = f_order & flat
+            s.f_order = f_order & flat
         else:
-            f_order = np.zeros(len(vv), dtype=bool)
-        theta = theta + gain * residual[:, None]
-        _flag_nonfinite(theta, rows)
-        return theta, L_new, f_order, gain
+            s.f_order = np.zeros(len(vv), dtype=bool)
+        s.theta_ = s.theta_ + gain * residual[:, None]
+        s.L_ = L_new
+        s.mark_nonfinite(s.theta_)
+        return gain
 
     @property
     def P_(self) -> np.ndarray:

@@ -10,8 +10,7 @@ import math
 
 import numpy as np
 
-from .base import (ForgettingFactorCore, StreamingFilter, _f_ordered, _flag_nonfinite,
-                   all_finite)
+from .base import ForgettingFactorCore, StreamingFilter, _f_ordered, all_finite
 from .exceptions import InvalidInputError, NumericalDivergenceError
 from .regression import batch_least_squares, poly_basis
 
@@ -100,8 +99,7 @@ class StaticRls(ForgettingFactorCore):
 
     def _lockstep_step(self, s, j):
         phi, prediction, residual = self._predict_rows(s, j)
-        lam = np.full(len(prediction), float(self.forgetting))
-        s.theta_, s.L_, s.f_order, _ = self._absorb_rows(s, None, phi, lam, residual)
+        self._absorb_rows(s, phi, np.full(len(prediction), float(self.forgetting)), residual)
         return (prediction,)
 
 
@@ -174,22 +172,21 @@ class GvffRls(ForgettingFactorCore):
     def _lockstep_step(self, s, j):
         phi, prediction, e = self._predict_rows(s, j)
         phi_psi = np.matmul(phi[:, None, :], s.psi_[:, :, None])[:, 0, 0]
-        lam = np.minimum(np.maximum(s.lambda_ + self.alpha * e * phi_psi,
-                                    self.lambda_min), self.lambda_max)
-        theta, L, f_order, gain = self._absorb_rows(s, None, phi, lam, e)
+        s.lambda_ = np.minimum(np.maximum(s.lambda_ + self.alpha * e * phi_psi,
+                                          self.lambda_min), self.lambda_max)
+        gain = self._absorb_rows(s, phi, s.lambda_, e)
         gain_col = gain[:, :, None]
         gain_row = gain[:, None, :]
         AS = s.S_ - gain_col * np.matmul(phi[:, None, :], s.S_)
         ASA = AS - np.matmul(AS, phi[:, :, None]) * gain_row
-        P = np.matmul(L, L.transpose(0, 2, 1))
-        if f_order.any():  # an F-ordered factor after a null update
-            L_f = _f_ordered(L[f_order])
-            P[f_order] = np.matmul(L_f, L_f.transpose(0, 2, 1))
-        S = (ASA + gain_col * gain_row - P) / lam[:, None, None]
-        psi = (s.psi_ - gain * phi_psi[:, None]
-               + np.matmul(S, phi[:, :, None])[:, :, 0] * e[:, None])
-        _flag_nonfinite(psi)
-        s.theta_, s.L_, s.f_order, s.lambda_, s.S_, s.psi_ = theta, L, f_order, lam, S, psi
+        P = np.matmul(s.L_, s.L_.transpose(0, 2, 1))
+        if s.f_order.any():  # an F-ordered factor after a null update
+            L_f = _f_ordered(s.L_[s.f_order])
+            P[s.f_order] = np.matmul(L_f, L_f.transpose(0, 2, 1))
+        s.S_ = (ASA + gain_col * gain_row - P) / s.lambda_[:, None, None]
+        s.psi_ = (s.psi_ - gain * phi_psi[:, None]
+                  + np.matmul(s.S_, phi[:, :, None])[:, :, 0] * e[:, None])
+        s.mark_nonfinite(s.psi_)
         return (prediction,)
 
 
@@ -222,10 +219,12 @@ class BootstrapParticleFilter(StreamingFilter):
         super()._validate_params()
         if self.particle_count < 2:
             raise InvalidInputError("particle_count must be at least 2")
+        r2 = self.measurement_std * self.measurement_std
         if not (math.isfinite(self.process_std) and self.process_std >= 0
-                and math.isfinite(self.measurement_std) and self.measurement_std > 0):
-            raise InvalidInputError(
-                "process_std must be finite and >= 0, measurement_std finite and > 0")
+                and math.isfinite(self.measurement_std) and self.measurement_std > 0
+                and r2 > 0 and math.isfinite(0.5 / r2)):
+            raise InvalidInputError("process_std must be finite and >= 0, measurement_std "
+                                    "finite and > 0 with 0.5 / measurement_std**2 finite")
         if not (0.0 < self.resample_threshold <= 1.0):
             raise InvalidInputError("resample_threshold must lie in (0, 1]")
 
@@ -242,6 +241,7 @@ class BootstrapParticleFilter(StreamingFilter):
         self.weights_ = [1.0 / n] * n
         self.degenerate_steps_ = 0
         self.last_time_ = float(times[-1])
+        self.step_index_ = len(times)
         self.is_fitted_ = True
         return self
 
@@ -276,6 +276,11 @@ class BootstrapParticleFilter(StreamingFilter):
         for i in range(n):
             prediction += self.weights_[i] * self.particles_[i]
             sum_sq += self.weights_[i] * self.weights_[i]
+        if not math.isfinite(prediction):
+            raise NumericalDivergenceError(
+                "prediction became non-finite", self.step_index_
+            )
+        self.step_index_ += 1
 
         if 1.0 / sum_sq < self.resample_threshold * n:
             self._systematic_resample()

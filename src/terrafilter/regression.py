@@ -68,7 +68,10 @@ def batch_least_squares(taus, ys, degree: int) -> BatchFit:
             f"need at least degree + 2 = {degree + 2} samples, got {n}"
         )
 
-    design = np.vander(taus, degree + 1, increasing=True)
+    with np.errstate(over="ignore"):  # an overflow is rejected just below
+        design = np.vander(taus, degree + 1, increasing=True)
+    if not np.isfinite(design).all():
+        raise InvalidInputError(f"tau**{degree} overflows: the scaled times are too large")
     u, s, vt = np.linalg.svd(design, full_matrices=False)
     if s[-1] < RANK_TOLERANCE * s[0]:
         raise SingularFitError(

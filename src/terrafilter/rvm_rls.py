@@ -9,11 +9,12 @@ treated as outliers.
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .base import ForgettingFactorCore, _flag_nonfinite
+from .base import ForgettingFactorCore
 from .exceptions import InvalidInputError
 
 
@@ -34,6 +35,12 @@ def variance_cost(sigma2_prev: float, residual: float, lam: float,
                       ("sigma2_target", sigma2_target)):
         if not math.isfinite(val):
             raise InvalidInputError(f"{name} must be finite")
+    return _variance_cost(sigma2_prev, residual, lam, cost_gain, sigma2_target)
+
+
+def _variance_cost(sigma2_prev, residual, lam, cost_gain, sigma2_target):
+    """``variance_cost``'s arithmetic without its checks, on floats or on
+    arrays of one entry per lockstep row."""
     r2 = residual * residual
     sigma2_next = lam * sigma2_prev + (1.0 - lam) * r2
     mismatch = sigma2_next - sigma2_target
@@ -215,41 +222,31 @@ class RvmRls(ForgettingFactorCore):
                     "prediction", "residual", "rejected", "lambda_after",
                     "sigma2_hat_after"))}
 
+    # the state a gated row keeps under "skip"
+    _GATED_STATE = operator.attrgetter("theta_", "L_", "f_order", "lambda_", "sigma2_hat_")
+
     def _stack_state(self, s, filters):
         super()._stack_state(s, filters)
-        s.gate = 3.0 * np.sqrt(s.sigma2_target_)
+        # an ungated filter's gate is inf, which no residual passes
+        s.gate = (3.0 * np.sqrt(s.sigma2_target_) if self.outlier_gate
+                  else np.full(len(filters), np.inf))
 
     def _lockstep_step(self, s, j):
         phi, prediction, raw_residual = self._predict_rows(s, j)
-        if self.outlier_gate:
-            rejected = np.abs(raw_residual) > s.gate
-        else:
-            rejected = np.zeros(len(prediction), dtype=bool)
-        rows = None
-        residual = raw_residual
-        if rejected.any():
-            if self.rejected_update == "skip":  # gated rows stay untouched
-                rows = np.flatnonzero(~rejected)
-                phi, residual = phi[rows], raw_residual[rows]
-            else:
-                residual = np.where(rejected, 0.0, raw_residual)
-        sigma2_prev, lam, target = ((s.sigma2_hat_, s.lambda_, s.sigma2_target_)
-                                    if rows is None else
-                                    (s.sigma2_hat_[rows], s.lambda_[rows],
-                                     s.sigma2_target_[rows]))
-        # variance_cost's arithmetic, in its order; a non-finite input always
-        # leaves a non-finite gradient, so this flag covers its checks
-        r2 = residual * residual
-        sigma2_hat = lam * sigma2_prev + (1.0 - lam) * r2
-        gradient = 2.0 * self.cost_gain * (sigma2_hat - target) * (sigma2_prev - r2)
-        _flag_nonfinite(gradient, rows)
-        lam = np.minimum(np.maximum(lam - self.step_size * gradient,
-                                    self.lambda_min), self.lambda_max)
-        theta, L, f_order, _ = self._absorb_rows(s, rows, phi, lam, residual)
-        if rows is None:
-            s.theta_, s.L_, s.f_order, s.lambda_, s.sigma2_hat_ = (
-                theta, L, f_order, lam, sigma2_hat)
-        else:
-            s.theta_[rows], s.L_[rows], s.f_order[rows] = theta, L, f_order
-            s.lambda_[rows], s.sigma2_hat_[rows] = lam, sigma2_hat
+        rejected = np.abs(raw_residual) > s.gate
+        before = self._GATED_STATE(s)
+        residual = (np.where(rejected, 0.0, raw_residual)
+                    if self.rejected_update == "recurse" else raw_residual)
+        # a non-finite input always leaves a non-finite gradient, so this
+        # mark covers variance_cost's checks
+        s.sigma2_hat_, _, gradient = _variance_cost(
+            s.sigma2_hat_, residual, s.lambda_, self.cost_gain, s.sigma2_target_)
+        s.mark_nonfinite(gradient)
+        s.lambda_ = np.minimum(np.maximum(s.lambda_ - self.step_size * gradient,
+                                          self.lambda_min), self.lambda_max)
+        self._absorb_rows(s, phi, s.lambda_, residual)
+        if self.rejected_update == "skip" and rejected.any():
+            # a gated row's update is dropped: it keeps its state
+            for new, old in zip(self._GATED_STATE(s), before):
+                new[rejected] = old[rejected]
         return prediction, raw_residual, rejected, s.lambda_, s.sigma2_hat_

@@ -87,9 +87,13 @@ class ScenarioConfig:
             )
         if not (0 <= self.clean_prefix < self.sample_count):
             raise InvalidInputError("clean_prefix must lie in [0, sample_count)")
-        if round(self.outlier_fraction * self.sample_count) > self.sample_count - self.clean_prefix:
+        outliers = round(self.outlier_fraction * self.sample_count)
+        if outliers > self.sample_count - self.clean_prefix:
             raise InvalidInputError(
                 "outlier_fraction asks for more outliers than samples after clean_prefix")
+        if outliers > 0 and self.noise_variance == 0:
+            raise InvalidInputError("noise_variance must be positive when outliers are "
+                                    "injected: their amplitudes scale with the noise")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
 
@@ -135,10 +139,6 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
     injected = np.zeros(n)
     count = int(round(config.outlier_fraction * n))
     if count > 0:
-        if sigma == 0:
-            raise InvalidInputError(
-                "outlier injection needs a positive noise variance to scale against"
-            )
         positions = outlier_rng.choice(
             np.arange(config.clean_prefix, n), size=count, replace=False
         )

@@ -219,6 +219,15 @@ class TestBootstrapParticleFilter:
         assert f.degenerate_steps_ == 1
         assert sum(f.weights_) == pytest.approx(1.0, abs=1e-9)
 
+    def test_divergence_raises(self, benchmark_trace_outliers):
+        # a finite process_std whose random walk overflows the particles
+        f = BootstrapParticleFilter(process_std=1e308, particle_count=20, seed=0)
+        with pytest.raises(NumericalDivergenceError,
+                           match="prediction became non-finite") as err:
+            f.run(benchmark_trace_outliers.times[:300],
+                  benchmark_trace_outliers.measurement[:300])
+        assert err.value.step_index == f.step_index_ >= 100
+
     def test_seeded_determinism(self, benchmark_trace_outliers):
         runs = []
         for _ in range(2):

@@ -6,8 +6,8 @@ import os
 
 import pytest
 
-from terrafilter import (ConfigError, GvffRls, InvalidInputError, MetricsReport,
-                         RvmRls, ScenarioConfig, synthesize)
+from terrafilter import (BootstrapParticleFilter, ConfigError, GvffRls, InvalidInputError,
+                         MetricsReport, RvmRls, ScenarioConfig, synthesize)
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                load_config, median_reports, render_table,
@@ -211,6 +211,9 @@ REJECTED = {
                       ["config.algorithms[2].params.bogus"]),
     "pf_seed": (_set("algorithms", 4, "params", value={"seed": 123}),
                 ["config.algorithms[4].params.seed"]),
+    # outlier amplitudes are multiples of the noise standard deviation
+    "noise_free_with_outliers": (_set("scenarios", 0, "noise_variance", value=0.0),
+                                 ["config.scenarios[0]", "noise_variance"]),
 }
 
 # (index in configs/benchmark.json, filter, parameter, value): each one is
@@ -226,6 +229,9 @@ BAD_FILTER_PARAMS = [
     (0, RvmRls, "target_noise_variance", math.inf),
     (3, GvffRls, "alpha", math.nan), (3, GvffRls, "alpha", math.inf),
     (3, GvffRls, "alpha", -math.inf),
+    # 0.5 / measurement_std**2 divides by zero, or overflows to inf
+    (4, BootstrapParticleFilter, "measurement_std", 1e-300),
+    (4, BootstrapParticleFilter, "measurement_std", 1e-160),
 ]
 
 

@@ -15,7 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from terrafilter import (BootstrapParticleFilter, GvffRls, NormalizedLms,
-                         RvmRls, ScenarioConfig, StaticRls, synthesize)
+                         RvmRls, ScenarioConfig, StaticRls, TerraFilterError,
+                         synthesize)
 from terrafilter.bench import load_config
 
 from goldens import BENCHMARK_CONFIG
@@ -244,6 +245,27 @@ def test_flagged_row_that_step_survives_gets_runs_predictions(scenario_traces,
         _assert_same(RvmRls(cost_gain=1e308).run(t, y), row)
 
 
+def test_marked_gated_row_that_step_survives_gets_runs_columns(scenario_traces,
+                                                                monkeypatch):
+    # the gate skips the spike, but the lockstep computes the dropped update
+    # first: its variance overflows, so the row is marked and goes through run
+    variance, times, measurements = scenario_traces
+    times, measurements = times[:4], [y.copy() for y in measurements[:4]]
+    measurements[1][150] += 1e200
+    reruns = []
+    single_columns = RvmRls._single_columns
+    monkeypatch.setattr(RvmRls, "_single_columns", lambda self, *trace: (
+        reruns.append(trace) or single_columns(self, *trace)))
+    filt = RvmRls(target_noise_variance=variance)
+    got = filt.run_lockstep(times, measurements)
+    details = filt.run_lockstep_detailed(times, measurements)
+    assert [y is measurements[1] for _, y in reruns] == [True, True]
+    for t, y, row, columns in zip(times, measurements, got, details):
+        _assert_same(RvmRls(target_noise_variance=variance).run(t, y), row)
+        _assert_same_details(RvmRls(target_noise_variance=variance).run_detailed(t, y),
+                             columns)
+
+
 # -- property: any corruption of a small batch, and lockstep still says what
 # -- run says, trace by trace
 
@@ -256,6 +278,7 @@ PROPERTY_FILTERS = {
     "rls": lambda: StaticRls(init_window=PROPERTY_WINDOW),
     "gvff_rls": lambda: GvffRls(init_window=PROPERTY_WINDOW),
     "lms": lambda: NormalizedLms(init_window=PROPERTY_WINDOW),
+    "pf": lambda: BootstrapParticleFilter(particle_count=20, init_window=PROPERTY_WINDOW),
 }
 
 
@@ -314,6 +337,9 @@ def test_any_corrupted_batch_matches_run(batch):
             got = make().run_lockstep(times, measurements)
             for (t, y), row in zip(traces, got):
                 _assert_same(_single(make().run, t, y), row)
+                # fail closed: finite predictions, or a typed error
+                assert (isinstance(row, TerraFilterError)
+                        or not isinstance(row, Exception) and np.isfinite(row).all()), row
             if name.startswith("rvm_rls"):
                 details = make().run_lockstep_detailed(times, measurements)
                 for (t, y), columns in zip(traces, details):

@@ -86,3 +86,9 @@ class TestBatchLeastSquares:
     def test_non_finite_rejected(self):
         with pytest.raises(InvalidInputError):
             batch_least_squares([0.0, 1.0, np.nan, 3.0], np.ones(4), 1)
+
+    def test_overflowing_basis_rejected(self):
+        # finite times whose fourth power overflows: no LinAlgError, and no
+        # numpy warning (the test suite turns RuntimeWarning into an error)
+        with pytest.raises(InvalidInputError, match="overflows"):
+            batch_least_squares(np.arange(10.0) * 1e78, np.ones(10), 4)
