@@ -190,14 +190,16 @@ class StreamingFilter:
         filter without a lockstep step (the particle filter).
         """
         return [out if isinstance(out, Exception) else out["prediction"]
-                for out in self._lockstep_columns(times_list, measurements_list)]
+                for out in self.run_lockstep_detailed(times_list, measurements_list)]
 
     def _copy(self):
         return type(self)(**self.get_params())
 
-    def _lockstep_columns(self, times_list, measurements_list) -> list:
-        """One entry per trace: a dict of per-step columns (``prediction``
-        first) or the exception the single-filter path raises on it."""
+    def run_lockstep_detailed(self, times_list, measurements_list) -> list:
+        """``run_lockstep`` with every per-step column: one entry per trace,
+        a dict of the ``_LOCKSTEP_COLUMNS`` arrays (``prediction`` first;
+        RvmRls adds the fig4 columns of ``run_detailed``), or the exception
+        ``run`` raises on it."""
         if len(times_list) != len(measurements_list):
             raise InvalidInputError("times_list and measurements_list must match in length")
         traces = list(zip(times_list, measurements_list))

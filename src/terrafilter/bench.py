@@ -22,8 +22,8 @@ from . import __version__
 from .base import _outcome, constructor_spec
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
-from .metrics import (MetricsReport, max_error, mse, reports_to_csv, time_step,
-                      variance_ratio)
+from .metrics import (MetricsReport, format_metrics, max_error, mse, reports_to_csv,
+                      time_step, variance_ratio)
 from .rvm_rls import RvmRls
 from .scenario import ScenarioConfig, synthesize, write_columns, write_trace_csv
 
@@ -219,31 +219,29 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- execution ------------------------------------------------------------
 
 
-def run_cells(spec: AlgorithmSpec, scenario: ScenarioConfig, seeds, traces,
-              detailed: bool = False) -> list:
+def run_cells(spec: AlgorithmSpec, scenario: ScenarioConfig, seeds, traces) -> list:
     """Run one algorithm's cells over the traces of ``seeds``. Returns, per
-    seed, ``(report_without_sr, predictions, columns)`` or the exception
-    the cell failed with. Cells whose filters are built alike (every
-    algorithm but the particle filter, whose seed is the cell's) run as one
-    ``run_lockstep`` call. With ``detailed`` (RvmRls only), ``columns``
-    holds the fig4 columns of ``run_lockstep_detailed``; otherwise None."""
+    seed, ``(report_without_sr, columns)`` or the exception the cell failed
+    with; ``columns`` are the cell's ``run_lockstep_detailed`` columns:
+    ``prediction``, and for RvmRls the fig4 columns. Cells whose filters
+    are built alike (every algorithm but the particle filter, whose seed is
+    the cell's) run as one ``run_lockstep_detailed`` call."""
     params = [_filter_params(spec, scenario, seed) for seed in seeds]
     times = [trace.times for trace in traces]
     measurements = [trace.measurement for trace in traces]
-    method = "run_lockstep_detailed" if detailed else "run_lockstep"
     if all(p == params[0] for p in params):
-        outcomes = getattr(build_filter(spec, scenario, seeds[0]), method)(
+        outcomes = build_filter(spec, scenario, seeds[0]).run_lockstep_detailed(
             times, measurements)
     else:
-        outcomes = [getattr(build_filter(spec, scenario, seed), method)([t], [y])[0]
+        outcomes = [build_filter(spec, scenario, seed).run_lockstep_detailed([t], [y])[0]
                     for seed, t, y in zip(seeds, times, measurements)]
     return [outcome if isinstance(outcome, Exception) else
-            _outcome(_cell_report, spec, scenario, seed, trace, outcome, detailed)
+            _outcome(_cell_report, spec, scenario, seed, trace, outcome)
             for seed, trace, outcome in zip(seeds, traces, outcomes)]
 
 
-def _cell_report(spec, scenario, seed, trace, outcome, detailed):
-    predictions = outcome["prediction"] if detailed else outcome
+def _cell_report(spec, scenario, seed, trace, columns):
+    predictions = columns["prediction"]
     ref = trace.reference[len(trace) - len(predictions):]
     return MetricsReport(
         algorithm=spec.name,
@@ -253,56 +251,54 @@ def _cell_report(spec, scenario, seed, trace, outcome, detailed):
         me=max_error(predictions, ref),
         scenario_id=scenario.name,
         seed=seed,
-    ), predictions, outcome if detailed else None
+    ), columns
 
 
-def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace,
-             detailed: bool = False):
+def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace):
     """One cell: ``run_cells`` on a single trace, raising the cell's
     error."""
-    outcome = run_cells(spec, scenario, [seed], [trace], detailed)[0]
+    outcome = run_cells(spec, scenario, [seed], [trace])[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
+def _error_status(scenario_id, algorithm, seed, exc, prefix=""):
+    """The manifest entry of a cell, job or timing run that raised ``exc``."""
+    return CellStatus(scenario_id, algorithm, seed, "error",
+                      error=f"{prefix}{type(exc).__name__}: {exc}")
+
+
 def _run_chunk(scenario: ScenarioConfig, seeds, algorithms, out_dir=None):
     """One pool job: synthesize the traces of ``seeds`` and run every
     algorithm's cells on them. With ``out_dir`` set, also write each
-    seed's trace and figure files there. Returns ``{seed: [(CellStatus,
-    MetricsReport or None)]}`` in algorithm order; a failing cell is
-    recorded without disturbing the others. A cell's ``duration_ms`` is
-    its algorithm's wall time over the chunk divided by the number of
-    seeds. Traces and predictions stay in the worker."""
+    seed's trace and figure files there. Returns ``{(scenario name,
+    algorithm name, seed): (CellStatus, MetricsReport or None)}``; a
+    failing cell is recorded without disturbing the others. A cell's
+    ``duration_ms`` is its algorithm's wall time over the chunk divided by
+    the number of seeds. Traces and columns stay in the worker."""
     traces = [synthesize(scenario.with_seed(seed)) for seed in seeds]
-    detailed = None
-    if out_dir is not None:
-        detailed = next((a for a in algorithms if a.kind == "rvm_rls"), None)
-    results = {seed: [] for seed in seeds}
-    preds = {seed: {} for seed in seeds}
-    columns = dict.fromkeys(seeds)
+    results = {}
+    columns = {seed: {} for seed in seeds}
     for spec in algorithms:
         t0 = time.perf_counter()
         try:
-            cells = run_cells(spec, scenario, seeds, traces, detailed=spec is detailed)
+            cells = run_cells(spec, scenario, seeds, traces)
         except Exception as exc:  # crash isolation: one bad algorithm never aborts the run
             cells = [exc] * len(seeds)
         duration_ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
         for seed, cell in zip(seeds, cells):
             if isinstance(cell, Exception):
-                report = None
-                status = CellStatus(scenario.name, spec.name, seed, "error",
-                                    error=f"{type(cell).__name__}: {cell}")
+                status, report = _error_status(scenario.name, spec.name, seed, cell), None
             else:
-                report, preds[seed][spec.name], cell_columns = cell
+                report, columns[seed][spec.name] = cell
                 status = CellStatus(scenario.name, spec.name, seed, "ok")
-                if spec is detailed:
-                    columns[seed] = cell_columns
             status.duration_ms = duration_ms
-            results[seed].append((status, report))
+            results[(scenario.name, spec.name, seed)] = status, report
     if out_dir is not None:
+        fig4 = next((a.name for a in algorithms if a.kind == "rvm_rls"), None)
         for seed, trace in zip(seeds, traces):
-            _emit_trace_files(out_dir, scenario, seed, trace, preds[seed], columns[seed])
+            _emit_trace_files(out_dir, scenario, seed, trace, columns[seed], fig4)
     return results
 
 
@@ -326,12 +322,11 @@ def _run_jobs(config: ExperimentConfig, out_dir):
     one job per (scenario, chunk of seeds): each scenario's seeds split
     into ceil(CPUs / scenarios) chunks, the fewest jobs that keep every
     worker busy, so each lockstep batch is as wide as it can be. Returns
-    {(scenario name, seed): [(CellStatus, MetricsReport or None)]}. A job
-    lost to a dead worker gets an ``error`` status for each of its
-    cells."""
+    ``_run_chunk``'s map for every cell of the matrix. A job that raises,
+    or whose worker dies, gets an ``error`` status for each of its cells;
+    the other jobs' cells are kept."""
     # imported here so that importing the CLI does not pay for multiprocessing
     from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
 
     cpus = _usable_cpus()
     chunks = -(-cpus // len(config.scenarios))
@@ -344,15 +339,12 @@ def _run_jobs(config: ExperimentConfig, out_dir):
                    for scenario, seeds in jobs]
         for (scenario, seeds), future in zip(jobs, futures):
             try:
-                chunk = future.result()
-            except BrokenProcessPool as exc:
-                error = f"{type(exc).__name__}: {exc}"
-                chunk = {seed: [(CellStatus(scenario.name, spec.name, seed, "error",
-                                            error=error), None)
-                                for spec in config.algorithms]
-                         for seed in seeds}
-            results.update(((scenario.name, seed), cells)
-                           for seed, cells in chunk.items())
+                results.update(future.result())
+            except Exception as exc:  # a lost job fails its cells, not the run
+                results.update(
+                    ((scenario.name, spec.name, seed),
+                     (_error_status(scenario.name, spec.name, seed, exc), None))
+                    for spec in config.algorithms for seed in seeds)
     return results
 
 
@@ -365,7 +357,7 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     runs each recursive filter over its seeds in lockstep. After the pool has
     shut down, single-step timing runs serially, one measurement per
     (algorithm, scenario), shared by that scenario's seed rows. A failing
-    cell or timing measurement is recorded in the manifest without
+    cell, job or timing measurement is recorded in the manifest without
     disturbing the others.
     """
     config.validate()
@@ -377,15 +369,6 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     started = time.strftime("%Y-%m-%dT%H:%M:%S")
 
     results = _run_jobs(config, out)
-    statuses = []
-    cells = {}
-    for scenario in config.scenarios:
-        for i, spec in enumerate(config.algorithms):
-            for seed in config.seeds:
-                status, report = results[(scenario.name, seed)][i]
-                statuses.append(status)
-                if report is not None:
-                    cells[(scenario.name, spec.name, seed)] = report
 
     # Timing: serial, one measurement per (algorithm, scenario), reused for
     # every seed row of that scenario.
@@ -404,14 +387,13 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
                 )
                 status = CellStatus(scenario.name, spec.name, seed, "ok")
             except Exception as exc:  # recorded; the row's sr_ms becomes NaN
-                status = CellStatus(scenario.name, spec.name, seed, "error",
-                                    error=f"timing: {type(exc).__name__}: {exc}")
+                status = _error_status(scenario.name, spec.name, seed, exc, "timing: ")
             status.duration_ms = (time.perf_counter() - t0) * 1e3
             timing.append(status)
-    for (scenario_name, algorithm, _seed), report in cells.items():
-        report.sr_ms = sr.get((scenario_name, algorithm), float("nan"))
 
-    reports = [cells[k] for k in sorted(cells)]
+    reports = [report for _, (_, report) in sorted(results.items()) if report is not None]
+    for report in reports:
+        report.sr_ms = sr.get((report.scenario_id, report.algorithm), float("nan"))
     (out / "reports.csv").write_text(reports_to_csv(reports), encoding="utf-8")
     (out / "aggregate.csv").write_text(
         aggregate_csv(reports), encoding="utf-8")
@@ -422,7 +404,9 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
         tool_version=__version__,
         started=started,
         finished=finished,
-        cells=statuses,
+        cells=[results[(scenario.name, spec.name, seed)][0]
+               for scenario in config.scenarios for spec in config.algorithms
+               for seed in config.seeds],
         timing=timing,
     )
     (out / "manifest.json").write_text(json.dumps(asdict(manifest), indent=2),
@@ -430,23 +414,26 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     return manifest
 
 
-def _emit_trace_files(out, scenario, seed, trace, preds, columns):
-    """One seed's trace csv plus plot-ready figure files: the first RvmRls
-    cell's diagnostic columns (``run_lockstep_detailed``'s: adaptive lambda
+def _emit_trace_files(out, scenario, seed, trace, columns, fig4):
+    """One seed's trace csv plus plot-ready figure files from ``columns``,
+    the columns of each of its successful cells by algorithm name: the
+    diagnostic columns of the ``fig4`` algorithm's cell (adaptive lambda
     and variance series) when that cell succeeded, overlaid predictions,
     errors."""
     figs_dir = Path(out) / "figs"
     name = f"{scenario.name}_{seed}.csv"
     write_trace_csv(trace, Path(out) / "traces" / f"trace_{name}")
 
-    if columns is not None:
-        tail = slice(len(trace) - len(columns["prediction"]), None)
-        write_columns(figs_dir / f"fig4_{name}", ["t", "z", "p", *columns],
+    diagnostics = columns.get(fig4)
+    if diagnostics is not None:
+        tail = slice(len(trace) - len(diagnostics["prediction"]), None)
+        write_columns(figs_dir / f"fig4_{name}", ["t", "z", "p", *diagnostics],
                       [trace.times[tail], trace.measurement[tail],
-                       trace.reference[tail], *columns.values()])
+                       trace.reference[tail], *diagnostics.values()])
 
-    if not preds:
+    if not columns:
         return
+    preds = {algorithm: c["prediction"] for algorithm, c in columns.items()}
     # the rows every algorithm predicted: each one's last `common` samples
     common = min(len(p) for p in preds.values())
     tail = slice(len(trace) - common, None)
@@ -469,15 +456,8 @@ def aggregate_csv(reports) -> str:
     writer.writerow(["scenario_id", "algorithm", "seeds",
                      "median_sr_ms", "median_mse", "median_vr", "median_me"])
     for m in median_reports(reports):
-        writer.writerow([
-            m.scenario_id,
-            m.algorithm,
-            seeds[(m.scenario_id, m.algorithm)],
-            f"{m.sr_ms:.6f}",
-            f"{m.mse:.17g}",
-            f"{m.vr:.17g}",
-            f"{m.me:.17g}",
-        ])
+        writer.writerow([m.scenario_id, m.algorithm, seeds[(m.scenario_id, m.algorithm)],
+                         *format_metrics(m)])
     return buf.getvalue()
 
 

@@ -18,6 +18,13 @@ def _require_finite(**values):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
+def _check_ranging(lidar_distance, lidar_std, gimbal_std):
+    if lidar_distance <= 0:
+        raise InvalidInputError("lidar_distance must be positive")
+    if lidar_std < 0 or gimbal_std < 0:
+        raise InvalidInputError("noise standard deviations must be non-negative")
+
+
 @dataclass(frozen=True)
 class WaypointGeometry:
     """One ranging configuration: gimbal pitch/yaw, slant distance,
@@ -32,10 +39,7 @@ class WaypointGeometry:
 
     def __post_init__(self):
         _require_finite(**vars(self))
-        if self.lidar_distance <= 0:
-            raise InvalidInputError("lidar_distance must be positive")
-        if self.lidar_std < 0 or self.gimbal_std < 0:
-            raise InvalidInputError("noise standard deviations must be non-negative")
+        _check_ranging(self.lidar_distance, self.lidar_std, self.gimbal_std)
 
 
 def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
@@ -76,8 +80,7 @@ def waypoint_std(lidar_distance: float, pitch: float,
     """
     _require_finite(lidar_distance=lidar_distance, pitch=pitch,
                     lidar_std=lidar_std, gimbal_std=gimbal_std)
-    if lidar_distance <= 0:
-        raise InvalidInputError("lidar_distance must be positive")
+    _check_ranging(lidar_distance, lidar_std, gimbal_std)
     s, c = math.sin(pitch), math.cos(pitch)
     return math.sqrt(
         s * s * lidar_std * lidar_std

@@ -8,6 +8,7 @@ mean single-step wall time.
 
 import csv
 import io
+import math
 import time
 from dataclasses import dataclass, fields
 
@@ -32,6 +33,12 @@ class MetricsReport:
 REPORT_FIELDS = [f.name for f in fields(MetricsReport)]
 
 
+def format_metrics(report: MetricsReport) -> list:
+    """``sr_ms, mse, vr, me`` of ``report`` as written to a csv."""
+    return [f"{report.sr_ms:.6f}", f"{report.mse:.17g}", f"{report.vr:.17g}",
+            f"{report.me:.17g}"]
+
+
 def _check_pair(pred, ref):
     pred = np.asarray(pred, dtype=float)
     ref = np.asarray(ref, dtype=float)
@@ -39,6 +46,8 @@ def _check_pair(pred, ref):
         raise InvalidInputError("prediction and reference lengths must match")
     if len(pred) == 0:
         raise InvalidInputError("metrics need at least one sample")
+    if not (np.isfinite(pred).all() and np.isfinite(ref).all()):
+        raise InvalidInputError("prediction and reference must be finite")
     return pred, ref
 
 
@@ -53,8 +62,8 @@ def variance_ratio(pred, ref, sigma2: float) -> float:
     """Population variance of the prediction error about its own mean,
     divided by the measurement-noise variance. Near zero means strong
     noise suppression; above one means amplification."""
-    if sigma2 <= 0:
-        raise InvalidInputError("sigma2 must be positive")
+    if not (math.isfinite(sigma2) and sigma2 > 0):
+        raise InvalidInputError(f"sigma2 must be a positive finite number, got {sigma2!r}")
     pred, ref = _check_pair(pred, ref)
     return float(np.var(pred - ref)) / float(sigma2)
 
@@ -75,6 +84,8 @@ def improvement(baseline: MetricsReport, candidate: MetricsReport,
         raise InvalidInputError("reports must share scenario and seed")
     base = getattr(baseline, metric)
     cand = getattr(candidate, metric)
+    if not (math.isfinite(base) and math.isfinite(cand)):
+        raise InvalidInputError(f"{metric} must be finite, got {base!r} and {cand!r}")
     if base == 0:
         raise UndefinedRatioError(f"baseline {metric} is zero")
     return 100.0 * (base - cand) / base
@@ -117,22 +128,23 @@ def reports_to_csv(reports) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(REPORT_FIELDS)
     for r in reports:
-        writer.writerow([
-            r.algorithm,
-            f"{r.sr_ms:.6f}",
-            f"{r.mse:.17g}",
-            f"{r.vr:.17g}",
-            f"{r.me:.17g}",
-            r.scenario_id,
-            r.seed,
-        ])
+        writer.writerow([r.algorithm, *format_metrics(r), r.scenario_id, r.seed])
     return buf.getvalue()
+
+
+# the values reports_from_csv accepts beyond each column's type: finite
+# metrics (a failed timing run leaves sr_ms NaN) and non-negative seeds
+_FINITE = (math.isfinite, "a finite float")
+_VALID = {"sr_ms": (lambda v: not math.isinf(v), "a finite float or nan"),
+          "mse": _FINITE, "vr": _FINITE, "me": _FINITE,
+          "seed": (lambda v: v >= 0, "a non-negative int")}
 
 
 def reports_from_csv(text: str):
     """Parse a reports file back into MetricsReport records, each column
-    cast to its field's type. A malformed row is an InvalidInputError
-    naming its line and, for a bad value, its column."""
+    cast to its field's type. A malformed row, a non-finite metric (but a
+    NaN ``sr_ms``) or a negative seed is an InvalidInputError naming its
+    line and, for a bad value, its column."""
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != REPORT_FIELDS:
@@ -154,5 +166,9 @@ def reports_from_csv(text: str):
                 raise InvalidInputError(
                     f"{where}, column {name}: expected {cast.__name__}, got {value!r}"
                 ) from None
+            valid, expected = _VALID.get(name, (None, None))
+            if valid and not valid(values[-1]):
+                raise InvalidInputError(
+                    f"{where}, column {name}: expected {expected}, got {value!r}")
         reports.append(MetricsReport(*values))
     return reports

@@ -199,18 +199,11 @@ class RvmRls(ForgettingFactorCore):
         yields an empty list."""
         return self._drive(times, measurements, self.step_detailed)
 
-    def run_lockstep_detailed(self, times_list, measurements_list) -> list:
-        """``run_lockstep`` with the per-step diagnostics of
-        ``run_detailed``: one entry per trace, a dict of arrays keyed
-        ``prediction``, ``residual``, ``rejected``, ``lambda`` and
-        ``sigma2_hat`` (``StepOutput``'s fields of the same meaning), or the
-        exception ``run_detailed`` raises on it."""
-        return self._lockstep_columns(times_list, measurements_list)
-
     # -- lockstep ----------------------------------------------------------
 
     _LOCKSTEP_STATE = ForgettingFactorCore._LOCKSTEP_STATE + (
         "lambda_", "sigma2_hat_", "sigma2_target_")
+    # the fig4 columns: StepOutput's fields of the same meaning
     _LOCKSTEP_COLUMNS = (("prediction", float), ("residual", float),
                          ("rejected", bool), ("lambda", float),
                          ("sigma2_hat", float))

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+from dataclasses import asdict
 
 import pytest
 
@@ -115,6 +116,30 @@ class TestRunExperiments:
         run_experiments(small_config(tmp_path / "a", seeds=(0, 1)))
         golden = json.loads(SMALL_GOLDEN.read_text(encoding="utf-8"))
         assert output_digests(tmp_path / "a") == golden["files"], mismatch_note()
+
+    def test_failed_job_fails_its_cells_and_the_rest_is_written(self, tmp_path,
+                                                                 monkeypatch, capsys):
+        # seed 0's trace file cannot be written, so its job raises after its
+        # cells ran; on two CPUs, seed 1 is a job of its own
+        monkeypatch.setattr(bench, "_usable_cpus", lambda: 2)
+        out = tmp_path / "a"
+        (out / "traces" / "trace_small_0.csv").mkdir(parents=True)
+        config = small_config(out, seeds=(0, 1))
+        manifest = run_experiments(config)
+        assert [c.seed for c in manifest.cells] == [0, 1] * 5
+        for cell in manifest.cells:
+            if cell.seed == 0:
+                assert cell.status == "error" and cell.error.startswith("IsADirectoryError: ")
+            else:
+                assert cell.status == "ok"
+        reports = reports_from_csv((out / "reports.csv").read_text())
+        assert {r.seed for r in reports} == {1} and len(reports) == 5
+        cells = json.loads((out / "manifest.json").read_text())["cells"]
+        assert [c["status"] for c in cells] == [c.status for c in manifest.cells]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"version": 1, **asdict(config)}))
+        assert main(["run", str(path)]) == 1
+        assert "IsADirectoryError" in capsys.readouterr().err
 
     def test_manifest_covers_every_cell_once(self, tmp_path):
         config = small_config(tmp_path / "a", seeds=(0, 1), emit_traces=False)
@@ -398,8 +423,9 @@ class TestCli:
         assert err.startswith("config error: ") and "outlier_band" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("row", ["rvm_rls,0.1,abc,1,1,s,0", "rvm_rls,0.1,0.2"],
-                             ids=["mse_abc", "three_columns"])
+    @pytest.mark.parametrize("row", ["rvm_rls,0.1,abc,1,1,s,0", "rvm_rls,0.1,0.2",
+                                     "rvm_rls,0.1,nan,1,1,s,0", "rvm_rls,0.1,0.2,1,1,s,-1"],
+                             ids=["mse_abc", "three_columns", "mse_nan", "negative_seed"])
     def test_table_on_malformed_reports_exits_1_without_traceback(
             self, row, tmp_path, capsys):
         path = tmp_path / "reports.csv"
@@ -424,10 +450,10 @@ class TestCli:
         # dies
         real_run_cells = bench.run_cells
 
-        def dying_run_cells(spec, scenario, seeds, traces, detailed=False):
+        def dying_run_cells(spec, scenario, seeds, traces):
             if scenario.name == "t":
                 os._exit(1)
-            return real_run_cells(spec, scenario, seeds, traces, detailed)
+            return real_run_cells(spec, scenario, seeds, traces)
 
         monkeypatch.setattr(bench, "run_cells", dying_run_cells)
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)

@@ -109,6 +109,14 @@ class TestWaypointStd:
         with pytest.raises(InvalidInputError):
             waypoint_std(0.0, 0.5, 0.05, 0.002)
 
+    @pytest.mark.parametrize("position", [2, 3], ids=["lidar_std", "gimbal_std"])
+    def test_negative_std_rejected(self, position):
+        # as WaypointGeometry rejects them
+        args = [10.0, 0.5, 0.1, 0.1]
+        args[position] = -1.0
+        with pytest.raises(InvalidInputError, match="must be non-negative"):
+            waypoint_std(*args)
+
     @pytest.mark.parametrize("position, name", enumerate(
         ["lidar_distance", "pitch", "lidar_std", "gimbal_std"]))
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -28,6 +28,15 @@ class TestMse:
         with pytest.raises(InvalidInputError):
             mse([], [])
 
+    @pytest.mark.parametrize("metric", [mse, max_error,
+                                        lambda p, r: variance_ratio(p, r, 0.09)],
+                             ids=["mse", "max_error", "variance_ratio"])
+    @pytest.mark.parametrize("pred, ref", [([np.nan], [0.0]), ([0.0], [np.inf]),
+                                           ([1.0, -np.inf], [1.0, 2.0])])
+    def test_non_finite_input_rejected(self, metric, pred, ref):
+        with pytest.raises(InvalidInputError, match="must be finite"):
+            metric(pred, ref)
+
 
 class TestVarianceRatio:
     def test_exact_match(self):
@@ -41,6 +50,11 @@ class TestVarianceRatio:
     def test_sigma_zero_rejected(self):
         with pytest.raises(InvalidInputError):
             variance_ratio([1.0], [1.0], 0.0)
+
+    @pytest.mark.parametrize("sigma2", [np.inf, np.nan])
+    def test_non_finite_sigma_rejected(self, sigma2):
+        with pytest.raises(InvalidInputError, match="sigma2 must be a positive finite"):
+            variance_ratio([1.0], [1.0], sigma2)
 
     def test_bias_decomposition(self, rng):
         # population variance = mean square - squared mean, exactly
@@ -97,6 +111,11 @@ class TestImprovement:
         with pytest.raises(InvalidInputError):
             improvement(_report(seed=0), _report(seed=1), "mse")
 
+    @pytest.mark.parametrize("base, cand", [(np.nan, 0.1), (0.1, np.inf), (-np.inf, 0.1)])
+    def test_non_finite_metric_rejected(self, base, cand):
+        with pytest.raises(InvalidInputError, match="mse must be finite"):
+            improvement(_report(mse=base), _report(mse=cand), "mse")
+
 
 @pytest.fixture(scope="module")
 def short_trace():
@@ -147,9 +166,18 @@ class TestReportCsv:
     @pytest.mark.parametrize("row, message", [
         ("rvm_rls,0.1,abc,1,1,s1,0", "reports line 3, column mse: expected float, got 'abc'"),
         ("rvm_rls,0.1,0.2", "reports line 3: expected 7 columns, got 3"),
-    ], ids=["mse_abc", "three_columns"])
+        ("rvm_rls,0.1,nan,1,1,s1,0", "reports line 3, column mse: expected a finite float, got 'nan'"),
+        ("rvm_rls,0.1,0.2,inf,1,s1,0", "reports line 3, column vr: expected a finite float, got 'inf'"),
+        ("rvm_rls,-inf,0.2,1,1,s1,0", "reports line 3, column sr_ms: expected a finite float or nan, got '-inf'"),
+        ("rvm_rls,0.1,0.2,1,1,s1,-1", "reports line 3, column seed: expected a non-negative int, got '-1'"),
+    ], ids=["mse_abc", "three_columns", "mse_nan", "vr_inf", "sr_ms_inf", "negative_seed"])
     def test_malformed_row_names_line_and_column(self, row, message):
         text = reports_to_csv([_report()]) + row + "\n"
         with pytest.raises(InvalidInputError) as err:
             reports_from_csv(text)
         assert str(err.value) == message
+
+    def test_failed_timing_nan_is_read_back(self):
+        # a failed timing run leaves its rows' sr_ms NaN, recorded in the manifest
+        (back,) = reports_from_csv(reports_to_csv([_report(sr_ms=float("nan"))]))
+        assert np.isnan(back.sr_ms)
