@@ -69,9 +69,6 @@ class StreamingFilter:
 
     # -- subclass contract -------------------------------------------------
 
-    def fit(self, times, measurements):  # pragma: no cover - interface
-        raise NotImplementedError
-
     def step(self, t_raw: float, y: float) -> float:  # pragma: no cover
         raise NotImplementedError
 
@@ -96,19 +93,34 @@ class StreamingFilter:
                 f"scale_divisor must be a positive finite number, got {self.scale_divisor!r}"
             )
 
-    def _validate_window(self, times, measurements):
-        """Check the hyperparameters and the ``fit`` inputs; every filter's
-        fit passes through here, no step does."""
+    def fit(self, times, measurements):
+        """Check the hyperparameters and a window of exactly ``init_window``
+        samples, fit it by batch least squares in scaled time and set the
+        fitted state through ``_init_state``; returns ``self``."""
         self._validate_params()
         times = np.asarray(times, dtype=float)
         measurements = np.asarray(measurements, dtype=float)
         if times.ndim != 1 or times.shape != measurements.shape:
             raise InvalidInputError("times and measurements must match in length")
+        if len(times) != self.init_window:
+            raise InvalidInputError(f"fit expects exactly init_window={self.init_window} "
+                                    f"samples, got {len(times)}")
         if not (np.isfinite(times).all() and np.isfinite(measurements).all()):
             raise InvalidInputError("initialization window must be finite")
-        if len(times) > 1 and not np.all(np.diff(times) > 0):
+        if not np.all(np.diff(times) > 0):
             raise InvalidInputError("times must be strictly increasing")
-        return times, measurements
+        with np.errstate(over="ignore"):  # batch_least_squares rejects an overflow
+            taus = times / self.scale_divisor
+        self._init_state(batch_least_squares(taus, measurements, self.degree), taus)
+        self.last_time_ = float(times[-1])
+        self.step_index_ = len(times)
+        self.is_fitted_ = True
+        return self
+
+    def _init_state(self, fit, taus):
+        """Set the fitted state from the window's ``BatchFit`` over the
+        scaled times ``taus``; each filter chains its own state onto this."""
+        self.theta_ = fit.theta.copy()
 
     def _advance_clock(self, t_raw: float, y: float):
         t_raw = float(t_raw)
@@ -343,19 +355,12 @@ class ForgettingFactorCore(StreamingFilter):
             raise InvalidInputError("covariance_init must be 'residual' or 'gram', "
                                     f"got {self.covariance_init!r}")
 
-    def _init_from_window(self, times, measurements):
-        times, measurements = self._validate_window(times, measurements)
-        taus = times / self.scale_divisor
-        fit = batch_least_squares(taus, measurements, self.degree)
+    def _init_state(self, fit, taus):
+        super()._init_state(fit, taus)
         if self.covariance_init == "residual":
             self.L_ = math.sqrt(fit.residual_variance) * fit.gram_inverse_root
         else:
             self.L_ = fit.gram_inverse_root.copy()
-        self.theta_ = fit.theta.copy()
-        self.last_time_ = float(times[-1])
-        self.step_index_ = len(times)
-        self.is_fitted_ = True
-        return fit
 
     def _gain_update(self, phi: np.ndarray, lam: float) -> np.ndarray:
         """Advance the covariance factor under forgetting factor ``lam`` and

@@ -12,7 +12,8 @@ import numpy as np
 
 from .base import ForgettingFactorCore, StreamingFilter, _f_ordered, all_finite
 from .exceptions import InvalidInputError, NumericalDivergenceError
-from .regression import batch_least_squares, poly_basis
+# batch_least_squares stays a module global here: perfbench's tracer patches it
+from .regression import batch_least_squares, poly_basis  # noqa: F401
 
 
 class NormalizedLms(StreamingFilter):
@@ -40,15 +41,6 @@ class NormalizedLms(StreamingFilter):
             raise InvalidInputError(f"mu must lie in (0, 2), got {self.mu!r}")
         if not (math.isfinite(self.eps) and self.eps > 0):
             raise InvalidInputError(f"eps must be finite and positive, got {self.eps!r}")
-
-    def fit(self, times, measurements):
-        times, measurements = self._validate_window(times, measurements)
-        taus = times / self.scale_divisor
-        self.theta_ = batch_least_squares(taus, measurements, self.degree).theta
-        self.last_time_ = float(times[-1])
-        self.step_index_ = len(times)
-        self.is_fitted_ = True
-        return self
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -87,10 +79,6 @@ class StaticRls(ForgettingFactorCore):
         super()._validate_params()
         if not (0.0 < self.forgetting <= 1.0):
             raise InvalidInputError("forgetting must lie in (0, 1]")
-
-    def fit(self, times, measurements):
-        self._init_from_window(times, measurements)
-        return self
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -140,13 +128,12 @@ class GvffRls(ForgettingFactorCore):
         if not math.isfinite(self.alpha):
             raise InvalidInputError(f"alpha must be finite, got {self.alpha!r}")
 
-    def fit(self, times, measurements):
-        self._init_from_window(times, measurements)
+    def _init_state(self, fit, taus):
+        super()._init_state(fit, taus)
         n = self.degree + 1
         self.lambda_ = self.lambda_init
         self.S_ = np.zeros((n, n))
         self.psi_ = np.zeros(n)
-        return self
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -228,10 +215,8 @@ class BootstrapParticleFilter(StreamingFilter):
         if not (0.0 < self.resample_threshold <= 1.0):
             raise InvalidInputError("resample_threshold must lie in (0, 1]")
 
-    def fit(self, times, measurements):
-        times, measurements = self._validate_window(times, measurements)
-        taus = times / self.scale_divisor
-        fit = batch_least_squares(taus, measurements, self.degree)
+    def _init_state(self, fit, taus):
+        # no theta_: the particles start around the fit's last window value
         anchor = float(poly_basis(taus[-1], self.degree) @ fit.theta)
         self.rng_ = np.random.default_rng(self.seed)
         n = self.particle_count
@@ -240,10 +225,6 @@ class BootstrapParticleFilter(StreamingFilter):
         ]
         self.weights_ = [1.0 / n] * n
         self.degenerate_steps_ = 0
-        self.last_time_ = float(times[-1])
-        self.step_index_ = len(times)
-        self.is_fitted_ = True
-        return self
 
     def step(self, t_raw: float, y: float) -> float:
         self._check_fitted()

@@ -13,8 +13,9 @@ from .exceptions import InvalidInputError
 
 
 def _require_finite(**values):
+    """Reject a non-finite value, or tuple entry, among ``values``."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
@@ -54,19 +55,27 @@ def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
     x, y, z = (float(c) for c in current)
     v_d, v_phi = (float(v) for v in noise)
     pitch = geom.pitch + v_phi
+    _require_finite(current=(x, y, z), noise=(v_d, v_phi), noisy_pitch=pitch)
     h = geom.clearance
-    return (
+    waypoint = (
         x + h * math.cos(pitch) * math.cos(geom.yaw),
         y + h * math.cos(pitch) * math.sin(geom.yaw),
         z + h - (geom.lidar_distance + v_d) * math.sin(pitch),
     )
+    _require_finite(next_waypoint=waypoint)
+    return waypoint
 
 
 def vertical_recursion(z_prev: float, clearance: float, lidar_distance: float,
                        pitch: float, v_d: float = 0.0, v_phi: float = 0.0) -> float:
     """Vertical-only form of the waypoint step:
     z' = z + h - (d + v_d) sin(phi + v_phi)."""
-    return float(z_prev) + clearance - (lidar_distance + v_d) * math.sin(pitch + v_phi)
+    z_prev = float(z_prev)
+    _require_finite(z_prev=z_prev, clearance=clearance, lidar_distance=lidar_distance,
+                    pitch=pitch, v_d=v_d, v_phi=v_phi, noisy_pitch=pitch + v_phi)
+    z_next = z_prev + clearance - (lidar_distance + v_d) * math.sin(pitch + v_phi)
+    _require_finite(z_next=z_next)
+    return z_next
 
 
 def waypoint_std(lidar_distance: float, pitch: float,
@@ -82,7 +91,9 @@ def waypoint_std(lidar_distance: float, pitch: float,
                     lidar_std=lidar_std, gimbal_std=gimbal_std)
     _check_ranging(lidar_distance, lidar_std, gimbal_std)
     s, c = math.sin(pitch), math.cos(pitch)
-    return math.sqrt(
+    std = math.sqrt(
         s * s * lidar_std * lidar_std
         + lidar_distance * lidar_distance * c * c * gimbal_std * gimbal_std
     )
+    _require_finite(waypoint_std=std)
+    return std

@@ -51,11 +51,20 @@ def _check_pair(pred, ref):
     return pred, ref
 
 
+def _error_metric(name, fn, pred, ref) -> float:
+    """``fn`` of the prediction error ``pred - ref`` as a float. Finite
+    inputs whose metric overflows are an InvalidInputError naming it."""
+    pred, ref = _check_pair(pred, ref)
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        value = float(fn(pred - ref))
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{name} overflows to {value} on finite inputs")
+    return value
+
+
 def mse(pred, ref) -> float:
     """Mean squared deviation from the reference trajectory."""
-    pred, ref = _check_pair(pred, ref)
-    err = pred - ref
-    return float(np.mean(err * err))
+    return _error_metric("mse", lambda err: np.mean(err * err), pred, ref)
 
 
 def variance_ratio(pred, ref, sigma2: float) -> float:
@@ -64,14 +73,13 @@ def variance_ratio(pred, ref, sigma2: float) -> float:
     noise suppression; above one means amplification."""
     if not (math.isfinite(sigma2) and sigma2 > 0):
         raise InvalidInputError(f"sigma2 must be a positive finite number, got {sigma2!r}")
-    pred, ref = _check_pair(pred, ref)
-    return float(np.var(pred - ref)) / float(sigma2)
+    return _error_metric("variance_ratio",
+                         lambda err: float(np.var(err)) / float(sigma2), pred, ref)
 
 
 def max_error(pred, ref) -> float:
     """Worst absolute deviation from the reference trajectory."""
-    pred, ref = _check_pair(pred, ref)
-    return float(np.max(np.abs(pred - ref)))
+    return _error_metric("max_error", lambda err: np.max(np.abs(err)), pred, ref)
 
 
 def improvement(baseline: MetricsReport, candidate: MetricsReport,

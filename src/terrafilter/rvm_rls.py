@@ -134,23 +134,16 @@ class RvmRls(ForgettingFactorCore):
         if self.rejected_update not in ("skip", "recurse"):
             raise InvalidInputError("rejected_update must be 'skip' or 'recurse'")
 
-    def fit(self, times, measurements):
-        """Initialize from exactly ``init_window`` samples via batch least
-        squares: theta and the covariance factor from the window fit, the
+    def _init_state(self, fit, taus):
+        """theta and the covariance factor from the window fit, the
         residual-variance estimate from the fit's SSE / (n - degree - 1)."""
-        if len(times) != self.init_window:
-            raise InvalidInputError(
-                f"fit expects exactly init_window={self.init_window} samples, "
-                f"got {len(times)}"
-            )
-        fit = self._init_from_window(times, measurements)
+        super()._init_state(fit, taus)
         self.sigma2_hat_ = fit.residual_variance
         if self.target_noise_variance is not None:
             self.sigma2_target_ = float(self.target_noise_variance)
         else:
             self.sigma2_target_ = fit.residual_variance
         self.lambda_ = self._clip_lambda(self.lambda_init)
-        return self
 
     def step_detailed(self, t_raw: float, y: float) -> StepOutput:
         """Process one sample and return the full diagnostic record.

@@ -96,6 +96,15 @@ class ScenarioConfig:
                                     "injected: their amplitudes scale with the noise")
         if self.seed < 0:
             raise InvalidInputError("seed must be non-negative")
+        # synthesize repeats this evaluation, which must stay finite
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                terrain_height(np.arange(self.sample_count, dtype=float),
+                               self.terrain) + self.clearance
+        except (FloatingPointError, OverflowError) as exc:
+            raise InvalidInputError(
+                f"terrain plus clearance overflows over the sample times ({exc})"
+            ) from None
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)
@@ -117,6 +126,7 @@ class ScenarioTrace:
         return len(self.times)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is rejected at the end
 def synthesize(config: ScenarioConfig) -> ScenarioTrace:
     """Generate a trace deterministically from (config, config.seed).
 
@@ -155,6 +165,9 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
         injected[positions] = signs * magnitudes
 
     measurement = reference + noise + injected
+    if not np.isfinite(measurement).all():
+        raise InvalidInputError("measurement overflows: reference + noise + outliers is "
+                                "not finite for this noise_variance and outlier_band")
     return ScenarioTrace(
         times=times,
         terrain=terrain,

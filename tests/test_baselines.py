@@ -277,6 +277,25 @@ class TestInterfaceUniformity:
         with pytest.raises(InvalidInputError, match=param):
             f.fit(trace.times[:100], trace.measurement[:100])
 
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_overflowing_scaled_time_rejected_at_fit(self, make):
+        # finite times over a tiny divisor: the window's scaled times overflow
+        f = make().set_params(scale_divisor=1e-300)
+        with pytest.raises(InvalidInputError, match="samples must be finite"):
+            f.fit(np.arange(100.0) + 1e10, np.zeros(100))
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_fit_requires_exactly_init_window(self, make, extra,
+                                              benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        f = make()
+        n = f.init_window + extra
+        with pytest.raises(InvalidInputError,
+                           match=f"exactly init_window=100 samples, got {n}"):
+            f.fit(trace.times[:n], trace.measurement[:n])
+        assert not hasattr(f, "is_fitted_")
+
     def test_one_prediction_per_post_init_sample(self, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
         for make in ALL_FILTERS:

@@ -408,11 +408,16 @@ class TestCli:
         bad.write_text("{\"version\": 1, \"bogus\": 1}")
         assert main(["run", str(bad)]) == 2
 
-    @pytest.mark.parametrize("command", ["run", "synth"])
-    def test_bad_config_exits_2_without_traceback(self, command, tmp_path,
-                                                   capsys):
+    @pytest.mark.parametrize("command, field, value", [
+        ("run", "outlier_band", [-30.0, 0.0, 30.0]),
+        ("synth", "outlier_band", [-30.0, 0.0, 30.0]),
+        ("run", "terrain", {"omega": 1e308}),
+        ("synth", "terrain", {"omega": 1e308}),
+    ], ids=["run", "synth", "run-terrain", "synth-terrain"])
+    def test_bad_config_exits_2_without_traceback(self, command, field, value,
+                                                   tmp_path, capsys):
         payload = json.loads(self._config_file(tmp_path).read_text())
-        payload["scenarios"][0]["outlier_band"] = [-30.0, 0.0, 30.0]
+        payload["scenarios"][0][field] = value
         args = [command, str(tmp_path / "bad.json")]
         if command == "synth":
             payload = payload["scenarios"][0]
@@ -420,7 +425,7 @@ class TestCli:
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and "outlier_band" in err
+        assert err.startswith("config error: ") and field in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("row", ["rvm_rls,0.1,abc,1,1,s,0", "rvm_rls,0.1,0.2",

@@ -38,6 +38,17 @@ class TestNextWaypoint:
             WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0,
                              clearance=5.0, lidar_std=-0.1)
 
+    @pytest.mark.parametrize("current, noise, pitch, name", [
+        ((math.nan, 0.0, 0.0), (0.0, 0.0), 0.5, "current"),
+        ((0.0, 0.0, 0.0), (0.0, math.inf), 0.5, "noise"),
+        ((0.0, 0.0, 0.0), (0.0, 1e308), 1e308, "noisy_pitch"),
+        ((0.0, 0.0, 1e308), (1e308, 0.0), -math.pi / 2, "next_waypoint"),
+    ])
+    def test_non_finite_input_or_result_rejected(self, current, noise, pitch, name):
+        geom = WaypointGeometry(pitch=pitch, yaw=0.0, lidar_distance=1.0, clearance=5.0)
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            next_waypoint(current, geom, noise)
+
     @pytest.mark.parametrize("name", ["pitch", "yaw", "lidar_distance", "clearance",
                                       "lidar_std", "gimbal_std"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -77,6 +88,17 @@ class TestVerticalRecursion:
         for v_d in (1e-3, 1e-6, 1e-9):
             slope = (vertical_recursion(0.0, h, d, phi, v_d, 0.0) - base) / v_d
             assert slope == pytest.approx(-math.sin(phi), rel=1e-6)
+
+    @pytest.mark.parametrize("args, name", [
+        ((math.nan, 20.0, 30.0, 0.5), "z_prev"),
+        ((0.0, 20.0, 30.0, math.inf), "pitch"),
+        ((0.0, 20.0, 30.0, 0.5, math.nan), "v_d"),
+        ((0.0, 20.0, 30.0, 1e308, 0.0, 1e308), "noisy_pitch"),
+        ((1e308, 1e308, 30.0, 0.5), "z_next"),
+    ])
+    def test_non_finite_input_or_result_rejected(self, args, name):
+        with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
+            vertical_recursion(*args)
 
     def test_linearization_in_pitch_noise(self):
         h, d, phi = 5.0, 40.0, 0.7
@@ -125,3 +147,7 @@ class TestWaypointStd:
         args[position] = value
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             waypoint_std(*args)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(InvalidInputError, match="waypoint_std must be finite"):
+            waypoint_std(1e200, 0.0, 0.1, 1e200)

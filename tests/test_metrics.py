@@ -37,6 +37,16 @@ class TestMse:
         with pytest.raises(InvalidInputError, match="must be finite"):
             metric(pred, ref)
 
+    @pytest.mark.parametrize("name, metric, args", [
+        ("mse", mse, ([1e200], [0.0])),
+        ("max_error", max_error, ([1e308], [-1e308])),
+        ("variance_ratio", variance_ratio, ([1e200, -1e200], [0.0, 0.0], 0.09)),
+        ("variance_ratio", variance_ratio, ([1.0, -1.0], [0.0, 0.0], 1e-320)),
+    ])
+    def test_overflow_rejected(self, name, metric, args):
+        with pytest.raises(InvalidInputError, match=f"{name} overflows"):
+            metric(*args)
+
 
 class TestVarianceRatio:
     def test_exact_match(self):

@@ -102,6 +102,22 @@ class TestSynthesize:
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             ScenarioConfig(**{name: value})
 
+    @pytest.mark.parametrize("terrain", [
+        dict(omega=1e308), dict(center=1e200), dict(envelope_sigma=1e200),
+        dict(envelope_sigma=1e-200),
+        dict(amplitude=1e308, center=100.0, omega=0.0, phase=math.pi / 2),
+    ])
+    def test_overflowing_terrain_rejected_when_built(self, terrain):
+        with pytest.raises(InvalidInputError, match="terrain plus clearance overflows"):
+            ScenarioConfig(sample_count=200, clean_prefix=100, clearance=1.7e308,
+                           terrain=TerrainParams(**terrain))
+
+    def test_overflowing_outliers_rejected_by_synthesize(self):
+        config = ScenarioConfig(sample_count=20, clean_prefix=5, noise_variance=1e300,
+                                outlier_band=(-1e300, 1e300))
+        with pytest.raises(InvalidInputError, match="measurement overflows"):
+            synthesize(config)
+
     @pytest.mark.parametrize("fraction, prefix, ok", [
         (0.95, 100, True),     # 1,900 outliers in the 1,900 samples after the prefix
         (0.951, 100, False),   # 1,902 of them

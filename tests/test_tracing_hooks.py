@@ -7,7 +7,9 @@ deleting one of them must fail here, not only in a traced benchmark run.
 import importlib.util
 from pathlib import Path
 
-from terrafilter import RvmRls, ScenarioConfig, synthesize
+import pytest
+
+from terrafilter import BootstrapParticleFilter, RvmRls, ScenarioConfig, synthesize
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -36,3 +38,17 @@ def test_every_patched_name_exists_and_is_restored():
     assert summary["rvm_rls.step.calls"] == 30
     assert summary["base.gain_update.calls"] >= 1
     assert summary["regression.poly_basis.calls"] == 30
+
+
+@pytest.mark.parametrize("make", [RvmRls, lambda: BootstrapParticleFilter(particle_count=10)],
+                         ids=["rvm_rls", "pf"])
+def test_one_batch_fit_per_run(make):
+    # every filter's fit goes through base.batch_least_squares, once
+    tracer = _tracer()
+    trace = synthesize(ScenarioConfig(sample_count=130, clean_prefix=100))
+    try:
+        tracer.install()
+        make().run(trace.times, trace.measurement)
+    finally:
+        tracer.restore()
+    assert tracer.summary()["regression.batch_least_squares.calls"] == 1
