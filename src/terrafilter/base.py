@@ -429,7 +429,8 @@ class ForgettingFactorCore(StreamingFilter):
             v[f_rows] = np.matmul(phi[f_rows, None, :], L_f)[:, 0]
         vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         denom = lam + vv
-        s.mark(denom < GAIN_DENOMINATOR_FLOOR)
+        # a row with no update direction (a zero factor) goes through run
+        s.mark(~(vv > 0.0) | (denom < GAIN_DENOMINATOR_FLOOR))
         Lv = np.matmul(L, v[:, :, None])[:, :, 0]
         if len(f_rows):
             Lv[f_rows] = np.matmul(L_f, v[f_rows, :, None])[:, :, 0]
@@ -438,14 +439,8 @@ class ForgettingFactorCore(StreamingFilter):
         L_new = Lv[:, :, None] * v[:, None, :]
         L_new *= ((1.0 - np.sqrt(lam / denom)) / vv)[:, None, None]
         np.subtract(L, L_new, out=L_new)
-        root = np.sqrt(lam)[:, None, None]
-        L_new /= root
-        flat = ~(vv > 0.0)
-        if flat.any():  # no update direction: L / sqrt(lam), in L's order
-            L_new[flat] = L[flat] / root[flat]
-            s.f_order = f_order & flat
-        else:
-            s.f_order = np.zeros(len(vv), dtype=bool)
+        L_new /= np.sqrt(lam)[:, None, None]
+        s.f_order = np.zeros(len(vv), dtype=bool)
         s.theta_ = s.theta_ + gain * residual[:, None]
         s.L_ = L_new
         s.mark_nonfinite(s.theta_)

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from .base import ForgettingFactorCore, StreamingFilter, _f_ordered, all_finite
+from .base import ForgettingFactorCore, StreamingFilter, all_finite
 from .exceptions import InvalidInputError, NumericalDivergenceError
 # batch_least_squares stays a module global here: perfbench's tracer patches it
 from .regression import batch_least_squares, poly_basis  # noqa: F401
@@ -167,9 +167,6 @@ class GvffRls(ForgettingFactorCore):
         AS = s.S_ - gain_col * np.matmul(phi[:, None, :], s.S_)
         ASA = AS - np.matmul(AS, phi[:, :, None]) * gain_row
         P = np.matmul(s.L_, s.L_.transpose(0, 2, 1))
-        if s.f_order.any():  # an F-ordered factor after a null update
-            L_f = _f_ordered(s.L_[s.f_order])
-            P[s.f_order] = np.matmul(L_f, L_f.transpose(0, 2, 1))
         s.S_ = (ASA + gain_col * gain_row - P) / s.lambda_[:, None, None]
         s.psi_ = (s.psi_ - gain * phi_psi[:, None]
                   + np.matmul(s.S_, phi[:, :, None])[:, :, 0] * e[:, None])

@@ -2,9 +2,7 @@
 metric reports, timing, and plot-ready data files.
 """
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -12,17 +10,14 @@ import re
 import time
 import types
 import typing
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .base import _outcome, constructor_spec
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
-from .metrics import (MetricsReport, format_metrics, max_error, mse, reports_to_csv,
+from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
                       time_step, variance_ratio)
 from .rvm_rls import RvmRls
 from .scenario import ScenarioConfig, synthesize, write_columns, write_trace_csv
@@ -180,11 +175,12 @@ def _build(value, tp, path: str):
 
 
 def read_json(path):
-    """Parse a JSON file; malformed JSON is a ConfigError."""
+    """Parse a JSON file; a file that is not UTF-8 JSON, or nests too deep
+    to parse, is a ConfigError."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, UnicodeDecodeError
             raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -445,78 +441,3 @@ def _emit_trace_files(out, scenario, seed, trace, columns, fig4):
     write_columns(figs_dir / f"fig6_{name}",
                   ["t"] + [f"err_{a}" for a in preds],
                   [trace.times[tail]] + [p - reference for p in aligned])
-
-
-def aggregate_csv(reports) -> str:
-    """Per-(scenario, algorithm) medians across seeds, as computed by
-    ``median_reports``, with each group's seed count."""
-    seeds = Counter((r.scenario_id, r.algorithm) for r in reports)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["scenario_id", "algorithm", "seeds",
-                     "median_sr_ms", "median_mse", "median_vr", "median_me"])
-    for m in median_reports(reports):
-        writer.writerow([m.scenario_id, m.algorithm, seeds[(m.scenario_id, m.algorithm)],
-                         *format_metrics(m)])
-    return buf.getvalue()
-
-
-def median_reports(reports):
-    """Collapse per-seed reports into one median report per
-    (scenario, algorithm)."""
-    groups = {}
-    for r in reports:
-        groups.setdefault((r.scenario_id, r.algorithm), []).append(r)
-    out = []
-    for (scenario_id, algorithm) in sorted(groups):
-        rs = groups[(scenario_id, algorithm)]
-        out.append(MetricsReport(
-            algorithm=algorithm,
-            sr_ms=float(np.median([r.sr_ms for r in rs])),
-            mse=float(np.median([r.mse for r in rs])),
-            vr=float(np.median([r.vr for r in rs])),
-            me=float(np.median([r.me for r in rs])),
-            scenario_id=scenario_id,
-            seed=-1,
-        ))
-    return out
-
-
-def render_table(reports) -> str:
-    """Fixed-column text table for one scenario: algorithms as rows,
-    SR/MSE/VR/ME as columns, every per-column minimum flagged with '*'."""
-    reports = list(reports)
-    if not reports:
-        raise InvalidInputError("render_table needs at least one report")
-    scenario_ids = {r.scenario_id for r in reports}
-    if len(scenario_ids) != 1:
-        raise InvalidInputError(f"reports mix scenarios: {sorted(scenario_ids)}")
-    algs = [r.algorithm for r in reports]
-    if len(set(algs)) != len(algs):
-        raise InvalidInputError(
-            "one report per algorithm required (aggregate seeds first)"
-        )
-
-    cols = [("SR (ms)", "sr_ms", "{:.3f}"), ("MSE", "mse", "{:.3f}"),
-            ("VR", "vr", "{:.3f}"), ("ME", "me", "{:.3f}")]
-    best = {attr: min(getattr(r, attr) for r in reports) for _, attr, _ in cols}
-
-    header = ["Algorithm"] + [c[0] for c in cols]
-    rows = []
-    for r in reports:
-        row = [r.algorithm]
-        for _, attr, fmt in cols:
-            val = getattr(r, attr)
-            mark = "*" if val == best[attr] else " "
-            row.append(fmt.format(val) + mark)
-        rows.append(row)
-
-    widths = [max(len(str(x)) for x in col) for col in zip(header, *rows)]
-    lines = [
-        f"scenario: {reports[0].scenario_id}",
-        "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-        "  ".join("-" * w for w in widths),
-    ]
-    for row in rows:
-        lines.append("  ".join(str(x).ljust(w) for x, w in zip(row, widths)))
-    return "\n".join(lines) + "\n"

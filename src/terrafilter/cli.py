@@ -5,18 +5,17 @@ Subcommands:
   table  render a metrics table from a reports csv
   synth  synthesize a scenario trace to csv
 
-Exit codes: 0 success, 1 one or more cells or timing runs failed, 2
-configuration error.
+Exit codes: 0 success, 1 one or more cells or timing runs failed or an
+unreadable reports file, 2 configuration error.
 """
 
 import argparse
 import os
 import sys
 
-from .bench import (load_config, median_reports, parse_scenario, read_json,
-                    render_table, run_experiments)
-from .exceptions import ConfigError, TerraFilterError
-from .metrics import reports_from_csv
+from .bench import load_config, parse_scenario, read_json, run_experiments
+from .exceptions import ConfigError, InvalidInputError, TerraFilterError
+from .metrics import render_tables, reports_from_csv
 from .scenario import synthesize, write_trace_csv
 
 OUTPUT_DIR_ENV = "TERRAFILTER_OUTPUT_DIR"
@@ -70,12 +69,11 @@ def _cmd_run(args) -> int:
 def _print_tables(reports_path) -> None:
     """Print one median table per scenario of a reports csv."""
     with open(reports_path, encoding="utf-8") as fh:
-        reports = reports_from_csv(fh.read())
-    by_scenario = {}
-    for r in median_reports(reports):
-        by_scenario.setdefault(r.scenario_id, []).append(r)
-    for scenario_id in sorted(by_scenario):
-        print(render_table(by_scenario[scenario_id]))
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InvalidInputError(f"{reports_path} is not UTF-8 text: {exc}") from exc
+    print(render_tables(reports_from_csv(text)), end="")
 
 
 def _cmd_table(args) -> int:

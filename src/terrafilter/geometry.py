@@ -19,6 +19,18 @@ def _require_finite(**values):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
+def _floats(name, value, count):
+    """``value`` as a tuple of ``count`` floats; anything else, a string of
+    digits included, is an InvalidInputError naming it."""
+    try:
+        values = () if isinstance(value, str) else tuple(float(v) for v in value)
+    except (TypeError, ValueError, OverflowError):
+        values = ()
+    if len(values) != count:
+        raise InvalidInputError(f"{name} must be {count} numbers, got {value!r}")
+    return values
+
+
 def _check_ranging(lidar_distance, lidar_std, gimbal_std):
     if lidar_distance <= 0:
         raise InvalidInputError("lidar_distance must be positive")
@@ -52,8 +64,8 @@ def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
         y' = y + h cos(phi + v_phi) sin(psi)
         z' = z + h - (d + v_d) sin(phi + v_phi)
     """
-    x, y, z = (float(c) for c in current)
-    v_d, v_phi = (float(v) for v in noise)
+    x, y, z = _floats("current", current, 3)
+    v_d, v_phi = _floats("noise", noise, 2)
     pitch = geom.pitch + v_phi
     _require_finite(current=(x, y, z), noise=(v_d, v_phi), noisy_pitch=pitch)
     h = geom.clearance

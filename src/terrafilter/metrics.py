@@ -8,6 +8,7 @@ mean single-step wall time.
 
 import csv
 import io
+import itertools
 import math
 import time
 from dataclasses import dataclass, fields
@@ -32,11 +33,15 @@ class MetricsReport:
 
 REPORT_FIELDS = [f.name for f in fields(MetricsReport)]
 
+# The metric fields of a report, in csv order: each one's table heading and
+# csv format.
+METRIC_COLUMNS = {"sr_ms": ("SR (ms)", ".6f"), "mse": ("MSE", ".17g"),
+                  "vr": ("VR", ".17g"), "me": ("ME", ".17g")}
 
-def format_metrics(report: MetricsReport) -> list:
-    """``sr_ms, mse, vr, me`` of ``report`` as written to a csv."""
-    return [f"{report.sr_ms:.6f}", f"{report.mse:.17g}", f"{report.vr:.17g}",
-            f"{report.me:.17g}"]
+
+def format_metrics(values) -> list:
+    """The ``METRIC_COLUMNS`` of the mapping ``values`` as written to a csv."""
+    return [format(values[name], fmt) for name, (_, fmt) in METRIC_COLUMNS.items()]
 
 
 def _check_pair(pred, ref):
@@ -86,7 +91,7 @@ def improvement(baseline: MetricsReport, candidate: MetricsReport,
                 metric: str) -> float:
     """Percent improvement of candidate over baseline on one metric:
     100 * (baseline - candidate) / baseline."""
-    if metric not in ("sr_ms", "mse", "vr", "me"):
+    if metric not in METRIC_COLUMNS:
         raise InvalidInputError(f"unknown metric {metric!r}")
     if (baseline.scenario_id, baseline.seed) != (candidate.scenario_id, candidate.seed):
         raise InvalidInputError("reports must share scenario and seed")
@@ -130,22 +135,83 @@ def time_step(filter_factory, trace, timed_steps: int | None = None,
     return float(np.median(samples))
 
 
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
 def reports_to_csv(reports) -> str:
     """One comma-separated row per report, header mandatory."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(REPORT_FIELDS)
+    return _csv_text(REPORT_FIELDS, ([r.algorithm, *format_metrics(vars(r)), r.scenario_id, r.seed]
+                                     for r in reports))
+
+
+def median_groups(reports) -> list:
+    """Per (scenario, algorithm) of ``reports``, in sorted order:
+    ``(scenario_id, algorithm, seed count, {metric: median across seeds})``."""
+    groups = {}
     for r in reports:
-        writer.writerow([r.algorithm, *format_metrics(r), r.scenario_id, r.seed])
-    return buf.getvalue()
+        groups.setdefault((r.scenario_id, r.algorithm), []).append(r)
+    return [(scenario_id, algorithm, len(rs),
+             {name: _median([getattr(r, name) for r in rs]) for name in METRIC_COLUMNS})
+            for (scenario_id, algorithm), rs in sorted(groups.items())]
+
+
+def _median(values) -> float:
+    """``np.median`` of ``values``. Where the mean of the two middle values
+    overflows, finite values get twice the median of their halves."""
+    with np.errstate(over="ignore"):
+        median = float(np.median(values))
+    if math.isinf(median) and np.isfinite(values).all():
+        median = 2.0 * float(np.median(np.divide(values, 2.0)))
+    return median
+
+
+def aggregate_csv(reports) -> str:
+    """The ``median_groups`` of ``reports`` as a csv, one row per group."""
+    return _csv_text(
+        ["scenario_id", "algorithm", "seeds", *(f"median_{name}" for name in METRIC_COLUMNS)],
+        ([scenario_id, algorithm, seeds, *format_metrics(medians)]
+         for scenario_id, algorithm, seeds, medians in median_groups(reports)))
+
+
+def render_tables(reports) -> str:
+    """One fixed-column text table of medians per scenario, each followed
+    by a blank line: algorithms as rows, the metric headings as columns,
+    every per-column minimum flagged with '*'."""
+    tables = []
+    for scenario_id, groups in itertools.groupby(median_groups(reports),
+                                                 key=lambda group: group[0]):
+        groups = list(groups)
+        best = {name: min(medians[name] for *_, medians in groups)
+                for name in METRIC_COLUMNS}
+        header = ["Algorithm", *(heading for heading, _ in METRIC_COLUMNS.values())]
+        rows = [[algorithm] + [
+            f"{medians[name]:.3f}" + ("*" if medians[name] == best[name] else " ")
+            for name in METRIC_COLUMNS] for _, algorithm, _, medians in groups]
+        widths = [max(map(len, column)) for column in zip(header, *rows)]
+        lines = [f"scenario: {scenario_id}"]
+        lines += ["  ".join(x.ljust(w) for x, w in zip(row, widths))
+                  for row in [header, ["-" * w for w in widths], *rows]]
+        tables.append("\n".join(lines) + "\n\n")
+    return "".join(tables)
 
 
 # the values reports_from_csv accepts beyond each column's type: finite
 # metrics (a failed timing run leaves sr_ms NaN) and non-negative seeds
-_FINITE = (math.isfinite, "a finite float")
-_VALID = {"sr_ms": (lambda v: not math.isinf(v), "a finite float or nan"),
-          "mse": _FINITE, "vr": _FINITE, "me": _FINITE,
+_VALID = {**dict.fromkeys(METRIC_COLUMNS, (math.isfinite, "a finite float")),
+          "sr_ms": (lambda v: not math.isinf(v), "a finite float or nan"),
           "seed": (lambda v: v >= 0, "a non-negative int")}
+
+
+def _csv_rows(reader):
+    """The rows of the csv ``reader``; one it cannot read (say, a field over
+    the csv module's size limit) is an InvalidInputError naming its line."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InvalidInputError(f"reports line {reader.line_num}: {exc}") from None
 
 
 def reports_from_csv(text: str):
@@ -154,12 +220,13 @@ def reports_from_csv(text: str):
     NaN ``sr_ms``) or a negative seed is an InvalidInputError naming its
     line and, for a bad value, its column."""
     reader = csv.reader(io.StringIO(text))
-    header = next(reader, None)
+    rows = _csv_rows(reader)
+    header = next(rows, None)
     if header != REPORT_FIELDS:
         raise InvalidInputError(f"unexpected reports header: {header}")
     casts = [f.type for f in fields(MetricsReport)]
     reports = []
-    for row in reader:
+    for row in rows:
         if not row:
             continue
         where = f"reports line {reader.line_num}"

@@ -99,12 +99,19 @@ class ScenarioConfig:
         # synthesize repeats this evaluation, which must stay finite
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                terrain_height(np.arange(self.sample_count, dtype=float),
-                               self.terrain) + self.clearance
+                reference = terrain_height(np.arange(self.sample_count, dtype=float),
+                                           self.terrain) + self.clearance
         except (FloatingPointError, OverflowError) as exc:
             raise InvalidInputError(
                 f"terrain plus clearance overflows over the sample times ({exc})"
             ) from None
+        # so must the largest outlier added to it; synthesize checks the
+        # measurements themselves, noise included
+        peak = math.sqrt(self.noise_variance) * max(abs(lo), abs(hi)) if outliers else 0.0
+        if not math.isfinite(float(np.abs(reference).max()) + peak):
+            raise InvalidInputError(
+                "the largest outlier, sqrt(noise_variance) * max|outlier_band|, overflows "
+                "added to the terrain plus clearance")
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         return replace(self, seed=seed)

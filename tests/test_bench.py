@@ -11,10 +11,10 @@ from terrafilter import (BootstrapParticleFilter, ConfigError, GvffRls, InvalidI
                          MetricsReport, RvmRls, ScenarioConfig, synthesize)
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
-                               load_config, median_reports, render_table,
-                               run_cell, run_experiments)
+                               load_config, run_cell, run_experiments)
 from terrafilter.cli import main
-from terrafilter.metrics import reports_from_csv, reports_to_csv
+from terrafilter.metrics import (aggregate_csv, median_groups, render_tables,
+                                 reports_from_csv, reports_to_csv)
 
 from goldens import (BENCHMARK_CONFIG, SMALL_GOLDEN, mismatch_note,
                      output_digests, strip_timing)
@@ -150,33 +150,81 @@ class TestRunExperiments:
 
 class TestRenderTable:
     def test_single_report(self):
-        table = render_table([MetricsReport("rvm_rls", 0.1, 0.2, 0.3, 0.4,
-                                            "s", 0)])
+        table = render_tables([MetricsReport("rvm_rls", 0.1, 0.2, 0.3, 0.4,
+                                             "s", 0)])
         assert "rvm_rls" in table
         assert table.count("*") == 4  # sole row wins every column
 
     def test_tie_flags_all_minima(self):
         a = MetricsReport("a", 1.0, 0.5, 1.0, 1.0, "s", 0)
         b = MetricsReport("b", 2.0, 0.5, 2.0, 2.0, "s", 0)
-        table = render_table([a, b])
+        table = render_tables([a, b])
         rows = table.strip().split("\n")
         row_a = next(r for r in rows if r.startswith("a"))
         row_b = next(r for r in rows if r.startswith("b"))
         assert row_a.count("*") == 4
         assert row_b.count("*") == 1  # ties on mse only
 
-    def test_mixed_scenarios_rejected(self):
-        a = MetricsReport("a", 1.0, 1.0, 1.0, 1.0, "s1", 0)
-        b = MetricsReport("b", 1.0, 1.0, 1.0, 1.0, "s2", 0)
-        with pytest.raises(Exception):
-            render_table([a, b])
-
     def test_median_reports_collapse_seeds(self):
         rows = [MetricsReport("a", 1.0, m, 1.0, 1.0, "s", i)
                 for i, m in enumerate([0.1, 0.2, 0.9])]
-        med = median_reports(rows)
-        assert len(med) == 1
-        assert med[0].mse == pytest.approx(0.2)
+        (group,) = median_groups(rows)
+        assert group[:3] == ("s", "a", 3)
+        assert group[3]["mse"] == pytest.approx(0.2)
+
+    def test_two_scenarios_with_a_tie(self):
+        reports = [MetricsReport("rls", 0.0125, m, 0.75, 2.5, "t", seed)
+                   for seed, m in enumerate([0.5, 0.25, 0.125])]
+        reports += [MetricsReport("lms", 0.004, 0.25, 12.5, 1.0, "t", 0),
+                    MetricsReport("rvm_rls", 0.0196, 0.0315, 0.35, 0.7, "s", 0),
+                    MetricsReport("lms", 0.0049, 0.0315, 0.4, 0.6, "s", 0)]
+        assert render_tables(reports) == (
+            "scenario: s\n"
+            "Algorithm  SR (ms)  MSE     VR      ME    \n"
+            "---------  -------  ------  ------  ------\n"
+            "lms        0.005*   0.032*  0.400   0.600*\n"
+            "rvm_rls    0.020    0.032*  0.350*  0.700 \n"
+            "\n"
+            "scenario: t\n"
+            "Algorithm  SR (ms)  MSE     VR       ME    \n"
+            "---------  -------  ------  -------  ------\n"
+            "lms        0.004*   0.250*  12.500   1.000*\n"
+            "rls        0.013    0.250*  0.750*   2.500 \n"
+            "\n")
+        assert aggregate_csv(reports) == (
+            "scenario_id,algorithm,seeds,median_sr_ms,median_mse,median_vr,median_me\n"
+            "s,lms,1,0.004900,0.0315,0.40000000000000002,0.59999999999999998\n"
+            "s,rvm_rls,1,0.019600,0.0315,0.34999999999999998,0.69999999999999996\n"
+            "t,lms,1,0.004000,0.25,12.5,1\n"
+            "t,rls,3,0.012500,0.25,0.75,2.5\n")
+
+    def test_nan_timing_is_never_best(self):
+        # a failed timing run leaves sr_ms NaN: it prints as nan, and the
+        # column's minimum is taken over the rows before it or, when it
+        # comes first, flags no row
+        nan = float("nan")
+        reports = [MetricsReport("a", nan, 1.0, 1.0, 1.0, "s", 0),
+                   MetricsReport("b", 0.5, 2.0, 2.0, 2.0, "s", 0),
+                   MetricsReport("a", 0.5, 1.0, 1.0, 1.0, "t", 0),
+                   MetricsReport("b", nan, 2.0, 2.0, 2.0, "t", 0)]
+        assert render_tables(reports) == (
+            "scenario: s\n"
+            "Algorithm  SR (ms)  MSE     VR      ME    \n"
+            "---------  -------  ------  ------  ------\n"
+            "a          nan      1.000*  1.000*  1.000*\n"
+            "b          0.500    2.000   2.000   2.000 \n"
+            "\n"
+            "scenario: t\n"
+            "Algorithm  SR (ms)  MSE     VR      ME    \n"
+            "---------  -------  ------  ------  ------\n"
+            "a          0.500*   1.000*  1.000*  1.000*\n"
+            "b          nan      2.000   2.000   2.000 \n"
+            "\n")
+
+    def test_no_reports_no_tables(self):
+        assert render_tables([]) == ""
+        assert aggregate_csv([]) == (
+            "scenario_id,algorithm,seeds,median_sr_ms,median_mse,median_vr,median_me\n")
 
 
 def _set(*keys, value):
@@ -413,31 +461,46 @@ class TestCli:
         ("synth", "outlier_band", [-30.0, 0.0, 30.0]),
         ("run", "terrain", {"omega": 1e308}),
         ("synth", "terrain", {"omega": 1e308}),
-    ], ids=["run", "synth", "run-terrain", "synth-terrain"])
+        ("run", None, lambda text: text.encode("utf-16")),
+        ("synth", None, lambda text: text.encode("utf-16")),
+        ("run", None, lambda text: b"[" * 100_000 + b"]" * 100_000),
+        ("synth", None, lambda text: b"[" * 100_000 + b"]" * 100_000),
+    ], ids=["run", "synth", "run-terrain", "synth-terrain", "run-not-utf8",
+            "synth-not-utf8", "run-deep-json", "synth-deep-json"])
     def test_bad_config_exits_2_without_traceback(self, command, field, value,
                                                    tmp_path, capsys):
+        # a bad scenario field, or with no field a file whose bytes are
+        # value(the config text): not UTF-8, or nested too deep to parse
         payload = json.loads(self._config_file(tmp_path).read_text())
-        payload["scenarios"][0][field] = value
+        if field is not None:
+            payload["scenarios"][0][field] = value
         args = [command, str(tmp_path / "bad.json")]
         if command == "synth":
             payload = payload["scenarios"][0]
             args += ["--out", str(tmp_path / "trace.csv")]
-        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        text = json.dumps(payload)
+        (tmp_path / "bad.json").write_bytes(value(text) if field is None else text.encode())
         assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: ") and field in err
-        assert "Traceback" not in err
+        assert err.startswith("config error: ") and "Traceback" not in err
+        assert (field or "is not valid JSON") in err
 
     @pytest.mark.parametrize("row", ["rvm_rls,0.1,abc,1,1,s,0", "rvm_rls,0.1,0.2",
-                                     "rvm_rls,0.1,nan,1,1,s,0", "rvm_rls,0.1,0.2,1,1,s,-1"],
-                             ids=["mse_abc", "three_columns", "mse_nan", "negative_seed"])
+                                     "rvm_rls,0.1,nan,1,1,s,0", "rvm_rls,0.1,0.2,1,1,s,-1",
+                                     "rvm_rls,0.1,0.2,1,1,s" + "s" * 200_000 + ",0",
+                                     "rvm_rls,0.1,0.2,1,1,s\xe9,0"],
+                             ids=["mse_abc", "three_columns", "mse_nan", "negative_seed",
+                                  "field_too_large", "not_utf8"])
     def test_table_on_malformed_reports_exits_1_without_traceback(
             self, row, tmp_path, capsys):
         path = tmp_path / "reports.csv"
-        path.write_text("algorithm,sr_ms,mse,vr,me,scenario_id,seed\n" + row + "\n")
+        # latin-1 writes each character as one byte: an "\xe9" is not UTF-8
+        path.write_text("algorithm,sr_ms,mse,vr,me,scenario_id,seed\n" + row + "\n",
+                        encoding="latin-1")
         assert main(["table", str(path)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: reports line 2") and "Traceback" not in err
+        where = "reports line 2" if row.isascii() else f"{path} is not UTF-8"
+        assert err.startswith(f"error: {where}") and "Traceback" not in err
 
     def test_cell_failure_exit_code(self, tmp_path, capsys):
         payload = json.loads(self._config_file(tmp_path).read_text())

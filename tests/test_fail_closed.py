@@ -1,16 +1,22 @@
 """The metrics, the geometry helpers and scenario synthesis fail closed: on
 any float input, huge, tiny, NaN and inf included, each returns finite values
-or raises a TerraFilterError subclass. Tier-1 turns a numpy RuntimeWarning
-into a failure, so an overflow that only warns fails here too.
+or raises a TerraFilterError subclass. So does the reports reader, on any
+text. Tier-1 turns a numpy RuntimeWarning into a failure, so an overflow that
+only warns fails here too.
 """
+
+import csv
+import io
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from terrafilter import (ScenarioConfig, TerrainParams, TerraFilterError,
-                         WaypointGeometry, max_error, mse, next_waypoint,
-                         synthesize, variance_ratio, vertical_recursion,
-                         waypoint_std)
+from terrafilter import (InvalidInputError, ScenarioConfig, TerrainParams,
+                         TerraFilterError, WaypointGeometry, max_error, mse,
+                         next_waypoint, synthesize, variance_ratio,
+                         vertical_recursion, waypoint_std)
+from terrafilter.metrics import (REPORT_FIELDS, aggregate_csv, render_tables,
+                                 reports_from_csv)
 
 # every float, NaN and the infinities included; hypothesis favours the
 # extremes: the largest and smallest normals, subnormals and signed zeros
@@ -73,3 +79,29 @@ def _synthesized(scenario, terrain):
 def test_scenario_synthesis(scenario, terrain):
     assert_fails_closed(_synthesized, scenario, terrain)
 
+
+
+# a reports row: typed, so that most are accepted and share (scenario,
+# algorithm) groups, or any cells of random text and numbers
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+TYPED_ROW = st.tuples(st.sampled_from(["rls", "lms"]), ANY, FINITE, FINITE, FINITE,
+                      st.sampled_from(["s", "t"]), st.integers(-1, 3))
+ANY_ROW = st.lists(st.one_of(st.text(max_size=8), ANY, st.integers(-3, 3)), max_size=8)
+
+
+@SUITE
+@given(rows=st.lists(st.one_of(TYPED_ROW, ANY_ROW), max_size=6), quoted=st.booleans())
+def test_reports_from_csv(rows, quoted):
+    lines = [REPORT_FIELDS] + [[str(cell) for cell in row] for row in rows]
+    if quoted:  # as a csv writer quotes them
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(lines)
+        text = buf.getvalue()
+    else:
+        text = "\n".join(",".join(line) for line in lines)
+    try:
+        reports = reports_from_csv(text)
+    except InvalidInputError:
+        return
+    assert isinstance(aggregate_csv(reports), str)
+    assert isinstance(render_tables(reports), str)

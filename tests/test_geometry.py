@@ -49,6 +49,20 @@ class TestNextWaypoint:
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             next_waypoint(current, geom, noise)
 
+    @pytest.mark.parametrize("current, noise, name", [
+        ((0.0, 0.0), (0.0, 0.0), "current"),
+        ((0.0, 0.0, 0.0, 0.0), (0.0, 0.0), "current"),
+        (("abc", 0.0, 0.0), (0.0, 0.0), "current"),
+        (3.0, (0.0, 0.0), "current"),
+        ("123", (0.0, 0.0), "current"),
+        ((0.0, 0.0, 0.0), (0.0,), "noise"),
+        ((0.0, 0.0, 0.0), (0.0, None), "noise"),
+    ])
+    def test_malformed_point_or_noise_rejected(self, current, noise, name):
+        geom = WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.0)
+        with pytest.raises(InvalidInputError, match=f"{name} must be"):
+            next_waypoint(current, geom, noise)
+
     @pytest.mark.parametrize("name", ["pitch", "yaw", "lidar_distance", "clearance",
                                       "lidar_std", "gimbal_std"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])

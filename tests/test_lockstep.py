@@ -271,6 +271,26 @@ def test_marked_gated_row_that_step_survives_gets_runs_columns(scenario_traces,
                              columns)
 
 
+@pytest.mark.parametrize("case", ["rvm_rls", "rls_residual", "gvff_rls_residual"])
+def test_zero_window_rows_go_through_run(case, scenario_traces, monkeypatch):
+    # a window of exact zeros fits a zero "residual" factor: its rows have no
+    # update direction, so the lockstep marks them and run decides them
+    variance, times, measurements = scenario_traces
+    times, measurements = times[:4], [y.copy() for y in measurements[:4]]
+    for r in (1, 3):
+        measurements[r][:100] = 0.0
+    make = CASES[case]
+    cls = type(make(variance))
+    reruns = []
+    single_columns = cls._single_columns
+    monkeypatch.setattr(cls, "_single_columns", lambda self, *trace: (
+        reruns.append(trace) or single_columns(self, *trace)))
+    got = make(variance).run_lockstep(times, measurements)
+    assert [any(y is measurements[r] for r in (1, 3)) for _, y in reruns] == [True, True]
+    for t, y, row in zip(times, measurements, got):
+        _assert_same(_single(make(variance).run, t, y), row)
+
+
 # -- property: any corruption of a small batch, and lockstep still says what
 # -- run says, trace by trace
 

@@ -112,9 +112,23 @@ class TestSynthesize:
             ScenarioConfig(sample_count=200, clean_prefix=100, clearance=1.7e308,
                            terrain=TerrainParams(**terrain))
 
+    @pytest.mark.parametrize("fields", [
+        dict(noise_variance=1e300, outlier_band=(-1e300, 1e300)),
+        dict(noise_variance=1.0, outlier_band=(-30.0, 1.7e308), clearance=1e308),
+    ])
+    def test_overflowing_outliers_rejected_when_built(self, fields):
+        with pytest.raises(InvalidInputError, match="the largest outlier"):
+            ScenarioConfig(sample_count=20, clean_prefix=5, **fields)
+        # without outliers there is nothing to overflow
+        ScenarioConfig(sample_count=20, clean_prefix=5, outlier_fraction=0.0, **fields)
+
     def test_overflowing_outliers_rejected_by_synthesize(self):
-        config = ScenarioConfig(sample_count=20, clean_prefix=5, noise_variance=1e300,
-                                outlier_band=(-1e300, 1e300))
+        # the bound at build time is on the largest outlier; synthesize
+        # checks the measurements themselves, so it still rejects a config
+        # that got past the bound
+        config = ScenarioConfig(sample_count=20, clean_prefix=5)
+        object.__setattr__(config, "noise_variance", 1e300)
+        object.__setattr__(config, "outlier_band", (-1e300, 1e300))
         with pytest.raises(InvalidInputError, match="measurement overflows"):
             synthesize(config)
 
