@@ -10,6 +10,7 @@ import functools
 import inspect
 import math
 import numbers
+import types
 import typing
 
 import numpy as np
@@ -28,6 +29,40 @@ def constructor_spec(cls):
     once per class: the parameters as ``inspect.signature(cls)`` lists them,
     the hints as ``typing.get_type_hints(cls.__init__)`` resolves them."""
     return inspect.signature(cls).parameters, typing.get_type_hints(cls.__init__)
+
+
+def is_finite_number(value) -> bool:
+    """True for a real number, other than a bool, whose float is finite."""
+    try:
+        return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and math.isfinite(value))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def check_numbers(obj):
+    """Check the numeric fields of ``obj`` by the annotations of its
+    constructor: an ``int`` holds an integer other than a bool, a ``float``
+    (``float | None``: None, or) a number that ``is_finite_number`` takes,
+    and a ``tuple`` of floats such entries, as many as it declares. Raises
+    an InvalidInputError naming the first field that does not."""
+    params, hints = constructor_spec(type(obj))
+    for name in params:
+        tp, value = hints.get(name), getattr(obj, name)
+        if typing.get_origin(tp) in (types.UnionType, typing.Union):  # ``T | None``
+            tp = None if value is None else typing.get_args(tp)[0]
+        args = typing.get_args(tp)
+        if tp is int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        elif tp is float:
+            if not is_finite_number(value):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
+        elif typing.get_origin(tp) is tuple and args[0] is float:
+            if not (isinstance(value, tuple) and len(value) == len(args)):
+                raise InvalidInputError(f"{name} must be {len(args)} numbers, got {value!r}")
+            if not all(map(is_finite_number, value)):
+                raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -79,16 +114,13 @@ class StreamingFilter:
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
 
     def _validate_params(self):
-        """Check the hyperparameters: each one annotated ``int`` must hold
-        an integer, and each subclass chains its own checks onto this. Every
-        ``fit`` and ``run`` calls it, no step does."""
-        for name, tp in constructor_spec(type(self))[1].items():
-            value = getattr(self, name)
-            if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        """Check the hyperparameters: first each number by its annotation
+        (``check_numbers``), then each subclass chains its own checks onto
+        this. Every ``fit`` and ``run`` calls it, no step does."""
+        check_numbers(self)
         if self.degree < 0 or self.init_window < self.degree + 2:
             raise InvalidInputError("init_window must be at least degree + 2")
-        if not (math.isfinite(self.scale_divisor) and self.scale_divisor > 0):
+        if not self.scale_divisor > 0:
             raise InvalidInputError(
                 f"scale_divisor must be a positive finite number, got {self.scale_divisor!r}"
             )
@@ -177,16 +209,23 @@ class StreamingFilter:
         """
         return np.array(self._drive(times, measurements, self.step), dtype=float)
 
+    def run_detailed(self, times, measurements) -> dict:
+        """``run`` with every per-step column: a dict of the
+        ``_LOCKSTEP_COLUMNS`` arrays, here the predictions alone."""
+        return {"prediction": self.run(times, measurements)}
+
     # -- lockstep: one filter per trace, all advanced together -------------
 
     # The fitted attributes a lockstep run stacks, one row per trace, and
-    # the (name, dtype) of each per-step column it returns.
+    # the (name, dtype) of each per-step column that it and ``run_detailed``
+    # return.
     _LOCKSTEP_STATE = ("theta_",)
     _LOCKSTEP_COLUMNS = (("prediction", float),)
     # ``_lockstep_step(s, j)`` is one ``step`` of every row of the state
     # ``s``, on sample ``init_window + j``: it writes every row's new state
     # into ``s`` and returns the step's columns; a guard only marks its rows
-    # in ``s.failed``. A class without one runs each trace through ``run``.
+    # in ``s.failed``. A class without one runs each trace through
+    # ``run_detailed``.
     _lockstep_step = None
 
     def run_lockstep(self, times_list, measurements_list) -> list:
@@ -198,8 +237,8 @@ class StreamingFilter:
         one sample at a time, with stacked numpy calls whose results are
         bit-identical to ``run``'s. This path only detects: a trace that is
         not regular, or whose row a guard marks, goes through ``run``, which
-        alone decides and words a failure. So do a single trace and a
-        filter without a lockstep step (the particle filter).
+        alone decides and words a failure. So do a single trace and every
+        trace of a filter without a lockstep step (the particle filter).
         """
         return [out if isinstance(out, Exception) else out["prediction"]
                 for out in self.run_lockstep_detailed(times_list, measurements_list)]
@@ -209,30 +248,27 @@ class StreamingFilter:
 
     def run_lockstep_detailed(self, times_list, measurements_list) -> list:
         """``run_lockstep`` with every per-step column: one entry per trace,
-        a dict of the ``_LOCKSTEP_COLUMNS`` arrays (``prediction`` first;
-        RvmRls adds the fig4 columns of ``run_detailed``), or the exception
-        ``run`` raises on it."""
+        its ``run_detailed`` dict, or the exception ``run`` raises on it."""
         if len(times_list) != len(measurements_list):
             raise InvalidInputError("times_list and measurements_list must match in length")
         traces = list(zip(times_list, measurements_list))
-        if self._lockstep_step is None or len(traces) < 2:
-            return [_outcome(self._single_columns, *trace) for trace in traces]
-        outcomes = self._lockstep(traces)
-        with np.errstate(all="ignore"):  # as in the lockstep loop
-            return [_outcome(self._single_columns, *trace) if out is None else out
+        # numpy's floating-point warnings stay off: a guard marks a row's
+        # overflow, which must not stop the other rows, and run words it
+        with np.errstate(all="ignore"):
+            outcomes = ([None] * len(traces)
+                        if self._lockstep_step is None or len(traces) < 2
+                        else self._lockstep(traces))
+            return [_outcome(self._copy().run_detailed, *trace) if out is None else out
                     for trace, out in zip(traces, outcomes)]
 
-    def _single_columns(self, times, measurements) -> dict:
-        return {"prediction": self._copy().run(times, measurements)}
-
     def _lockstep(self, traces) -> list:
-        """Advance one fitted copy per regular trace of ``traces`` together;
-        returns per trace its columns, the exception its fit raised, or None
-        where ``run`` must decide. A trace is regular when its fit succeeds,
-        it is as long as the first fitted trace, and every post-window
-        sample passes ``step``'s input checks: finite values, strictly
-        increasing times and a finite scaled time. A row that a guard marks
-        leaves the batch after the step; nothing is redone."""
+        """Advance one fitted copy per trace of ``traces`` together; returns
+        per trace its columns, the exception its fit raised, or None where
+        ``run`` must decide. Every trace as long as the first fitted one is
+        stacked; the irregular ones are marked from the start. A trace is
+        regular when every post-window sample passes ``step``'s input
+        checks: finite values, strictly increasing times and a finite scaled
+        time. A marked row stays in the batch; nothing is redone."""
         n0 = self.init_window
         outcomes = [None] * len(traces)
         rows = []
@@ -248,38 +284,29 @@ class StreamingFilter:
         rows = [row for row in rows if len(row[2]) == length]
         times = np.array([row[2] for row in rows])
         measurements = np.array([row[3] for row in rows])
-        # numpy's floating-point warnings stay off: a guard marks a row's
-        # overflow, which must not stop the other rows
-        with np.errstate(all="ignore"):
-            tau = times[:, n0:] / self.scale_divisor
-            regular = ((np.isfinite(times) & np.isfinite(measurements)).all(axis=1)
-                       & (times[:, n0:] > times[:, n0 - 1:-1]).all(axis=1)
-                       & np.isfinite(tau).all(axis=1))
-            live = np.flatnonzero(regular)
-            s = _Rows()
-            s.index = np.array([rows[r][0] for r in live], dtype=int)
-            self._stack_state(s, [rows[r][1] for r in live])
-            s.measurements = measurements[regular, n0:]
-            # every step's regressor at once: the cumulative product is
-            # poly_basis's chain of multiplications
-            phi = np.empty(s.measurements.shape + (self.degree + 1,))
-            phi[..., 0] = 1.0
-            phi[..., 1:] = tau[regular, :, None]
-            s.phi = np.cumprod(phi, axis=2)
-            width = s.measurements.shape[1]
-            columns = {name: np.zeros((len(traces), width), dtype=dtype)
-                       for name, dtype in self._LOCKSTEP_COLUMNS}
-            for j in range(width):
-                if not len(s.index):  # an empty batch has no stacked state
-                    break
-                out = self._lockstep_step(s, j)
-                for column, values in zip(columns.values(), out):
-                    column[s.index, j] = values
-                if s.failed is not None:
-                    s.take(~s.failed)
-                    s.failed = None
-        for k in s.index:
-            outcomes[k] = {name: column[k] for name, column in columns.items()}
+        tau = times[:, n0:] / self.scale_divisor
+        s = _Rows()
+        s.failed = ~((np.isfinite(times) & np.isfinite(measurements)).all(axis=1)
+                     & (times[:, n0:] > times[:, n0 - 1:-1]).all(axis=1)
+                     & np.isfinite(tau).all(axis=1))
+        self._stack_state(s, [row[1] for row in rows])
+        s.measurements = measurements[:, n0:]
+        # every step's regressor at once: the cumulative product is
+        # poly_basis's chain of multiplications
+        phi = np.empty(s.measurements.shape + (self.degree + 1,))
+        phi[..., 0] = 1.0
+        phi[..., 1:] = tau[:, :, None]
+        s.phi = np.cumprod(phi, axis=2)
+        width = s.measurements.shape[1]
+        columns = [np.zeros((len(rows), width), dtype=dtype)
+                   for _, dtype in self._LOCKSTEP_COLUMNS]
+        for j in range(width):
+            for column, values in zip(columns, self._lockstep_step(s, j)):
+                column[:, j] = values
+        names = [name for name, _ in self._LOCKSTEP_COLUMNS]
+        for (k, *_), failed, *values in zip(rows, s.failed, *columns):
+            if not failed:
+                outcomes[k] = dict(zip(names, values))
         return outcomes
 
     def _stack_state(self, s, filters):
@@ -288,8 +315,9 @@ class StreamingFilter:
 
     def _predict_rows(self, s, j):
         """``_predict`` of step ``j`` for every row: returns ``(phi,
-        prediction, residual)``. The inputs passed their checks before the
-        loop, so a row is marked only for a non-finite residual."""
+        prediction, residual)``. An irregular row is marked already, and the
+        other rows' inputs passed their checks before the loop, so a row is
+        marked here only for a non-finite residual."""
         phi = s.phi[:, j]
         prediction = np.matmul(phi[:, None, :], s.theta_[:, :, None])[:, 0, 0]
         residual = s.measurements[:, j] - prediction
@@ -312,27 +340,16 @@ def _outcome(fn, *args):
 
 class _Rows:
     """The stacked state of a lockstep run: every array attribute has one
-    row per live trace. ``failed`` marks the rows a guard failed in the
-    current step; it is None while no guard has failed."""
-
-    failed = None
-
-    def take(self, keep):
-        for name, value in vars(self).items():
-            if isinstance(value, np.ndarray):
-                setattr(self, name, value[keep])
-
-    def mark(self, bad):
-        """Mark the rows that are true in the boolean array ``bad``."""
-        if bad.any():
-            self.failed = bad if self.failed is None else self.failed | bad
+    row per stacked trace. The boolean array ``failed`` marks the rows that
+    go through ``run_detailed``: the irregular ones, and those a guard
+    marks."""
 
     def mark_nonfinite(self, x):
         """Mark each row whose entry (or row) of ``x`` is not finite, after
         the whole-array check that almost always passes."""
         finite = np.isfinite(x)
         if not finite.all():
-            self.mark(~finite.reshape(len(x), -1).all(axis=1))
+            self.failed |= ~finite.reshape(len(x), -1).all(axis=1)
 
 
 class ForgettingFactorCore(StreamingFilter):
@@ -430,7 +447,7 @@ class ForgettingFactorCore(StreamingFilter):
         vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         denom = lam + vv
         # a row with no update direction (a zero factor) goes through run
-        s.mark(~(vv > 0.0) | (denom < GAIN_DENOMINATOR_FLOOR))
+        s.failed |= ~(vv > 0.0) | (denom < GAIN_DENOMINATOR_FLOOR)
         Lv = np.matmul(L, v[:, :, None])[:, :, 0]
         if len(f_rows):
             Lv[f_rows] = np.matmul(L_f, v[f_rows, :, None])[:, :, 0]

@@ -39,7 +39,7 @@ class NormalizedLms(StreamingFilter):
         super()._validate_params()
         if not (0.0 < self.mu < 2.0):
             raise InvalidInputError(f"mu must lie in (0, 2), got {self.mu!r}")
-        if not (math.isfinite(self.eps) and self.eps > 0):
+        if not self.eps > 0:
             raise InvalidInputError(f"eps must be finite and positive, got {self.eps!r}")
 
     def step(self, t_raw: float, y: float) -> float:
@@ -125,8 +125,6 @@ class GvffRls(ForgettingFactorCore):
             raise InvalidInputError(
                 "need 0 < lambda_min <= lambda_init <= lambda_max <= 1"
             )
-        if not math.isfinite(self.alpha):
-            raise InvalidInputError(f"alpha must be finite, got {self.alpha!r}")
 
     def _init_state(self, fit, taus):
         super()._init_state(fit, taus)
@@ -204,11 +202,10 @@ class BootstrapParticleFilter(StreamingFilter):
         if self.particle_count < 2:
             raise InvalidInputError("particle_count must be at least 2")
         r2 = self.measurement_std * self.measurement_std
-        if not (math.isfinite(self.process_std) and self.process_std >= 0
-                and math.isfinite(self.measurement_std) and self.measurement_std > 0
+        if not (self.process_std >= 0 and self.measurement_std > 0
                 and r2 > 0 and math.isfinite(0.5 / r2)):
-            raise InvalidInputError("process_std must be finite and >= 0, measurement_std "
-                                    "finite and > 0 with 0.5 / measurement_std**2 finite")
+            raise InvalidInputError("process_std must be >= 0, and measurement_std > 0 "
+                                    "with 0.5 / measurement_std**2 finite")
         if not (0.0 < self.resample_threshold <= 1.0):
             raise InvalidInputError("resample_threshold must lie in (0, 1]")
 

@@ -4,7 +4,6 @@ metric reports, timing, and plot-ready data files.
 
 import hashlib
 import json
-import math
 import os
 import re
 import time
@@ -14,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .base import _outcome, constructor_spec
+from .base import _outcome, constructor_spec, is_finite_number
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
@@ -155,8 +154,7 @@ def _build(value, tp, path: str):
         return tuple(_build(v, a, f"{path}[{i}]")
                      for i, (v, a) in enumerate(zip(value, args)))
     if tp is float:
-        _expect(isinstance(value, (int, float)) and not isinstance(value, bool)
-                and math.isfinite(value), path, "a finite number", value)
+        _expect(is_finite_number(value), path, "a finite number", value)
         return float(value)
     if tp in (int, bool, str, dict):
         _expect(type(value) is tp, path, tp.__name__, value)

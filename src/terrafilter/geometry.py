@@ -9,13 +9,14 @@ terrain-following accuracy, so its uncertainty gets a closed form.
 import math
 from dataclasses import dataclass
 
+from .base import check_numbers, is_finite_number
 from .exceptions import InvalidInputError
 
 
 def _require_finite(**values):
-    """Reject a non-finite value, or tuple entry, among ``values``."""
+    """Reject a value, or tuple entry, among ``values`` that is no finite number."""
     for name, value in values.items():
-        if not all(map(math.isfinite, value if isinstance(value, tuple) else (value,))):
+        if not all(map(is_finite_number, value if isinstance(value, tuple) else (value,))):
             raise InvalidInputError(f"{name} must be finite, got {value!r}")
 
 
@@ -51,7 +52,7 @@ class WaypointGeometry:
     gimbal_std: float = 0.0
 
     def __post_init__(self):
-        _require_finite(**vars(self))
+        check_numbers(self)
         _check_ranging(self.lidar_distance, self.lidar_std, self.gimbal_std)
 
 
@@ -82,10 +83,10 @@ def vertical_recursion(z_prev: float, clearance: float, lidar_distance: float,
                        pitch: float, v_d: float = 0.0, v_phi: float = 0.0) -> float:
     """Vertical-only form of the waypoint step:
     z' = z + h - (d + v_d) sin(phi + v_phi)."""
-    z_prev = float(z_prev)
     _require_finite(z_prev=z_prev, clearance=clearance, lidar_distance=lidar_distance,
-                    pitch=pitch, v_d=v_d, v_phi=v_phi, noisy_pitch=pitch + v_phi)
-    z_next = z_prev + clearance - (lidar_distance + v_d) * math.sin(pitch + v_phi)
+                    pitch=pitch, v_d=v_d, v_phi=v_phi)
+    _require_finite(noisy_pitch=pitch + v_phi)
+    z_next = float(z_prev) + clearance - (lidar_distance + v_d) * math.sin(pitch + v_phi)
     _require_finite(z_next=z_next)
     return z_next
 

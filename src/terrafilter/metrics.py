@@ -104,14 +104,18 @@ def improvement(baseline: MetricsReport, candidate: MetricsReport,
     return 100.0 * (base - cand) / base
 
 
-def time_step(filter_factory, trace, timed_steps: int | None = None,
-              runs: int = 3) -> float:
+# time_step's timed runs; a warm-up run before them is discarded
+TIMED_RUNS = 3
+
+
+def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
     """Mean single-step wall time in milliseconds.
 
     Builds a fresh filter per run via ``filter_factory()``, fits it on the
     trace's leading init window, and times the bare step loop with the
-    monotonic clock. One warm-up run is discarded; the median of the timed
-    runs is returned. ``timed_steps`` caps the number of steps per run.
+    monotonic clock. One warm-up run is discarded; the median of the
+    ``TIMED_RUNS`` timed runs is returned. ``timed_steps`` caps the number
+    of steps per run.
     """
     times = trace.times
     measurements = trace.measurement
@@ -123,7 +127,7 @@ def time_step(filter_factory, trace, timed_steps: int | None = None,
     span = stop - n0
 
     samples = []
-    for rep in range(runs + 1):
+    for rep in range(TIMED_RUNS + 1):
         filt = filter_factory()
         filt.fit(times[:n0], measurements[:n0])
         t0 = time.perf_counter()

@@ -122,13 +122,11 @@ class RvmRls(ForgettingFactorCore):
         super()._validate_params()
         if not (0.0 < self.lambda_min <= self.lambda_max <= 1.0):
             raise InvalidInputError("need 0 < lambda_min <= lambda_max <= 1")
-        if not math.isfinite(self.lambda_init):  # a finite one is clipped
-            raise InvalidInputError(f"lambda_init must be finite, got {self.lambda_init!r}")
         for name in ("step_size", "cost_gain", "target_noise_variance"):
             value = getattr(self, name)
             if value is None and name == "target_noise_variance":
                 continue
-            if not (math.isfinite(value) and value > 0):
+            if not value > 0:
                 raise InvalidInputError(
                     f"{name} must be a positive finite number, got {value!r}")
         if self.rejected_update not in ("skip", "recurse"):
@@ -186,11 +184,16 @@ class RvmRls(ForgettingFactorCore):
     def step(self, t_raw: float, y: float) -> float:
         return self.step_detailed(t_raw, y).prediction
 
-    def run_detailed(self, times, measurements) -> list[StepOutput]:
-        """Fit on the leading window, then step through the remainder,
-        collecting every StepOutput. A trace exactly init_window long
-        yields an empty list."""
-        return self._drive(times, measurements, self.step_detailed)
+    def run_detailed(self, times, measurements) -> dict:
+        """Fit on the leading window, then step through the remainder:
+        returns the ``_LOCKSTEP_COLUMNS`` arrays, each read from the same
+        field of every ``step_detailed`` record. A trace exactly
+        init_window long yields empty columns."""
+        outputs = self._drive(times, measurements, self.step_detailed)
+        return {name: np.array([getattr(o, field) for o in outputs], dtype=dtype)
+                for (name, dtype), field in zip(self._LOCKSTEP_COLUMNS, (
+                    "prediction", "residual", "rejected", "lambda_after",
+                    "sigma2_hat_after"))}
 
     # -- lockstep ----------------------------------------------------------
 
@@ -200,13 +203,6 @@ class RvmRls(ForgettingFactorCore):
     _LOCKSTEP_COLUMNS = (("prediction", float), ("residual", float),
                          ("rejected", bool), ("lambda", float),
                          ("sigma2_hat", float))
-
-    def _single_columns(self, times, measurements) -> dict:
-        outputs = self._copy().run_detailed(times, measurements)
-        return {name: np.array([getattr(o, field) for o in outputs], dtype=dtype)
-                for (name, dtype), field in zip(self._LOCKSTEP_COLUMNS, (
-                    "prediction", "residual", "rejected", "lambda_after",
-                    "sigma2_hat_after"))}
 
     # the state a gated row keeps under "skip"
     _GATED_STATE = operator.attrgetter("theta_", "L_", "f_order", "lambda_", "sigma2_hat_")

@@ -10,18 +10,14 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .base import check_numbers
 from .exceptions import InvalidInputError
 
 TRACE_HEADER = ["t", "H", "p", "z", "outlier"]
-
-
-def _require_finite(params):
-    """Reject a non-finite float in a field, or a tuple field, of the
-    dataclass ``params``."""
-    for name, value in vars(params).items():
-        values = value if isinstance(value, tuple) else (value,)
-        if any(isinstance(v, (float, np.floating)) and not math.isfinite(v) for v in values):
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
+# The most samples a scenario may ask for: 500 times the benchmark's 2,000.
+# Synthesis, and each filter's regressors in a lockstep run, allocate in
+# proportion to it.
+MAX_SAMPLE_COUNT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -36,7 +32,7 @@ class TerrainParams:
     phase: float = 0.0
 
     def __post_init__(self):
-        _require_finite(self)
+        check_numbers(self)
         if self.envelope_sigma <= 0:
             raise InvalidInputError("envelope_sigma must be positive")
 
@@ -73,9 +69,10 @@ class ScenarioConfig:
     terrain: TerrainParams = field(default_factory=TerrainParams)
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.sample_count <= 0:
-            raise InvalidInputError("sample_count must be positive")
+        check_numbers(self)
+        if not 0 < self.sample_count <= MAX_SAMPLE_COUNT:
+            raise InvalidInputError(
+                f"sample_count must lie in [1, {MAX_SAMPLE_COUNT}], got {self.sample_count}")
         if self.noise_variance < 0:
             raise InvalidInputError("noise_variance must be non-negative")
         if not (0.0 <= self.outlier_fraction <= 1.0):

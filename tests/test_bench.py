@@ -8,7 +8,8 @@ from dataclasses import asdict
 import pytest
 
 from terrafilter import (BootstrapParticleFilter, ConfigError, GvffRls, InvalidInputError,
-                         MetricsReport, RvmRls, ScenarioConfig, synthesize)
+                         MetricsReport, NormalizedLms, RvmRls, ScenarioConfig, StaticRls,
+                         synthesize)
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                load_config, run_cell, run_experiments)
@@ -287,6 +288,14 @@ REJECTED = {
     # outlier amplitudes are multiples of the noise standard deviation
     "noise_free_with_outliers": (_set("scenarios", 0, "noise_variance", value=0.0),
                                  ["config.scenarios[0]", "noise_variance"]),
+    # an integer beyond the float range is no finite number
+    "clearance_400_digits": (_set("scenarios", 0, "clearance", value=10**400),
+                             ["config.scenarios[0].clearance"]),
+    "step_size_400_digits": (
+        _set("algorithms", 0, "params", "step_size", value=10**400),
+        ["config.algorithms[0].params.step_size"]),
+    "sample_count_10_30": (_set("scenarios", 0, "sample_count", value=10**30),
+                           ["config.scenarios[0]", "sample_count"]),
 }
 
 # (index in configs/benchmark.json, filter, parameter, value): each one is
@@ -305,6 +314,13 @@ BAD_FILTER_PARAMS = [
     # 0.5 / measurement_std**2 divides by zero, or overflows to inf
     (4, BootstrapParticleFilter, "measurement_std", 1e-300),
     (4, BootstrapParticleFilter, "measurement_std", 1e-160),
+    # a float parameter takes a real number whose float is finite
+    (0, RvmRls, "step_size", "abc"), (0, RvmRls, "lambda_min", "a"),
+    (2, NormalizedLms, "mu", None),
+    (0, RvmRls, "step_size", 10**400), (3, GvffRls, "alpha", 10**400),
+    (2, NormalizedLms, "eps", 10**400),
+    (4, BootstrapParticleFilter, "measurement_std", 10**400),
+    (1, StaticRls, "scale_divisor", 10**400),
 ]
 
 
@@ -361,7 +377,8 @@ class TestConfigFiles:
             assert text in str(err.value)
 
     @pytest.mark.parametrize("index, cls, name, value", BAD_FILTER_PARAMS,
-                             ids=[f"{c.__name__}-{n}={v}" for _, c, n, v in BAD_FILTER_PARAMS])
+                             ids=[f"{c.__name__}-{n}={'10**400' if v == 10**400 else v}"
+                                  for _, c, n, v in BAD_FILTER_PARAMS])
     def test_bad_filter_param_rejected_at_fit_and_load(self, index, cls, name,
                                                        value, tmp_path):
         trace = synthesize(ScenarioConfig(sample_count=300, clean_prefix=100))
@@ -465,8 +482,17 @@ class TestCli:
         ("synth", None, lambda text: text.encode("utf-16")),
         ("run", None, lambda text: b"[" * 100_000 + b"]" * 100_000),
         ("synth", None, lambda text: b"[" * 100_000 + b"]" * 100_000),
+        ("run", "clearance", 10**400),
+        ("synth", "clearance", 10**400),
+        ("run", "sample_count", 1_000_001),
+        ("synth", "sample_count", 10**15),
+        ("run", "sample_count", 10**30),
+        ("synth", "sample_count", 10**30),
     ], ids=["run", "synth", "run-terrain", "synth-terrain", "run-not-utf8",
-            "synth-not-utf8", "run-deep-json", "synth-deep-json"])
+            "synth-not-utf8", "run-deep-json", "synth-deep-json",
+            "run-clearance-400-digits", "synth-clearance-400-digits",
+            "run-sample-count-1000001", "synth-sample-count-10-15",
+            "run-sample-count-10-30", "synth-sample-count-10-30"])
     def test_bad_config_exits_2_without_traceback(self, command, field, value,
                                                    tmp_path, capsys):
         # a bad scenario field, or with no field a file whose bytes are

@@ -1,22 +1,30 @@
 """The metrics, the geometry helpers and scenario synthesis fail closed: on
 any float input, huge, tiny, NaN and inf included, each returns finite values
 or raises a TerraFilterError subclass. So does the reports reader, on any
-text. Tier-1 turns a numpy RuntimeWarning into a failure, so an overflow that
-only warns fails here too.
+text, and the config loader, on any mutation of the benchmark config. Tier-1
+turns a numpy RuntimeWarning into a failure, so an overflow that only warns
+fails here too.
 """
 
 import csv
 import io
+import json
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from terrafilter import (InvalidInputError, ScenarioConfig, TerrainParams,
+from terrafilter import (ConfigError, InvalidInputError, ScenarioConfig, TerrainParams,
                          TerraFilterError, WaypointGeometry, max_error, mse,
                          next_waypoint, synthesize, variance_ratio,
                          vertical_recursion, waypoint_std)
+from terrafilter.base import constructor_spec
+from terrafilter.bench import FILTER_KINDS, ExperimentConfig, load_config
 from terrafilter.metrics import (REPORT_FIELDS, aggregate_csv, render_tables,
                                  reports_from_csv)
+
+from goldens import BENCHMARK_CONFIG
 
 # every float, NaN and the infinities included; hypothesis favours the
 # extremes: the largest and smallest normals, subnormals and signed zeros
@@ -105,3 +113,62 @@ def test_reports_from_csv(rows, quoted):
         return
     assert isinstance(aggregate_csv(reports), str)
     assert isinstance(render_tables(reports), str)
+
+
+# Integers are small, or 10**15 and beyond: a sample_count or particle_count
+# drawn from them never allocates much, with or without a bound on it, and
+# 10**309 and 10**400 lie beyond the float range.
+INTEGERS = st.integers(-3, 3000) | st.sampled_from(
+    [10**15, -10**15, 10**30, 10**309, 10**400, -10**400])
+LEAVES = st.none() | st.booleans() | INTEGERS | ANY | st.text(max_size=5)
+JSON = LEAVES | st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
+                             | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                             max_leaves=5)
+# an added key is mostly one that some config object takes
+KEYS = st.sampled_from(sorted(
+    {"version", "workers"} | {name for cls in (ExperimentConfig, ScenarioConfig,
+                                               TerrainParams, *FILTER_KINDS.values())
+                              for name in constructor_spec(cls)[0]})) | st.text(max_size=5)
+
+
+def _slots(node):
+    """Every ``(container, key, value)`` under the parsed JSON ``node``."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, value in children:
+        yield node, key, value
+        yield from _slots(value)
+
+
+def _mutate(payload, data):
+    """Replace a leaf, drop a key or add a key, as ``data`` draws it."""
+    slots = list(_slots(payload))
+    kind = data.draw(st.sampled_from(["replace", "drop", "add"]))
+    if kind == "replace":
+        container, key, _ = data.draw(st.sampled_from(
+            [slot for slot in slots if not isinstance(slot[2], (dict, list))]))
+        container[key] = data.draw(JSON)
+        return
+    objects = [payload] + [value for _, _, value in slots if isinstance(value, dict)]
+    if kind == "drop":
+        target = data.draw(st.sampled_from([obj for obj in objects if obj]))
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    else:
+        data.draw(st.sampled_from(objects))[data.draw(KEYS)] = data.draw(JSON)
+
+
+@SUITE
+@given(data=st.data())
+def test_load_config(data):
+    payload = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
+    for _ in range(data.draw(st.integers(1, 3))):
+        _mutate(payload, data)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        try:
+            config = load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(config, ExperimentConfig)

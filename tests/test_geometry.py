@@ -65,7 +65,8 @@ class TestNextWaypoint:
 
     @pytest.mark.parametrize("name", ["pitch", "yaw", "lidar_distance", "clearance",
                                       "lidar_std", "gimbal_std"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf,
+                                       pytest.param(10**400, id="10**400"), "a", None])
     def test_non_finite_geometry_rejected(self, name, value):
         fields = dict(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.0,
                       lidar_std=0.1, gimbal_std=0.01)
@@ -109,6 +110,9 @@ class TestVerticalRecursion:
         ((0.0, 20.0, 30.0, 0.5, math.nan), "v_d"),
         ((0.0, 20.0, 30.0, 1e308, 0.0, 1e308), "noisy_pitch"),
         ((1e308, 1e308, 30.0, 0.5), "z_next"),
+        ((10**400, 20.0, 30.0, 0.5), "z_prev"),
+        ((0.0, 20.0, 30.0, "a"), "pitch"),
+        ((0.0, 20.0, 30.0, 0.5, 0.0, None), "v_phi"),
     ])
     def test_non_finite_input_or_result_rejected(self, args, name):
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
@@ -155,7 +159,8 @@ class TestWaypointStd:
 
     @pytest.mark.parametrize("position, name", enumerate(
         ["lidar_distance", "pitch", "lidar_std", "gimbal_std"]))
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="10**400"), "a"])
     def test_non_finite_input_rejected(self, position, name, value):
         args = [20.0, 0.5, 0.05, 0.002]
         args[position] = value

@@ -1,11 +1,11 @@
 """``run_lockstep`` must reproduce ``run`` bit for bit, trace by trace.
 
 Every filter copy in a lockstep batch must give exactly the predictions
-(and, for RvmRls, the fig4 columns of ``run_detailed``) that its own
-``run`` gives, or exactly the exception ``run`` raises: same type, message
-and step index. The benchmark traces are cut to their first
-``TRACE_LENGTH`` samples; the full-length outputs of the lockstep path are
-checked against the goldens by the benchmark tests.
+that its own ``run`` gives, and the columns that its own ``run_detailed``
+gives (for RvmRls, the fig4 columns), or exactly the exception ``run``
+raises: same type, message and step index. The benchmark traces are cut to
+their first ``TRACE_LENGTH`` samples; the full-length outputs of the
+lockstep path are checked against the goldens by the benchmark tests.
 """
 
 import functools
@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from terrafilter import (BootstrapParticleFilter, GvffRls, NormalizedLms,
-                         RvmRls, ScenarioConfig, StaticRls, TerraFilterError,
-                         synthesize)
+                         NumericalDivergenceError, RvmRls, ScenarioConfig,
+                         StaticRls, TerraFilterError, synthesize)
 from terrafilter.bench import load_config
 
 from goldens import BENCHMARK_CONFIG
@@ -43,9 +43,7 @@ CASES = {
     "lms": lambda var: NormalizedLms(),
     "lms_degree_2": lambda var: NormalizedLms(degree=2, mu=0.05),
 }
-DETAIL_FIELDS = {"prediction": "prediction", "residual": "residual",
-                 "rejected": "rejected", "lambda": "lambda_after",
-                 "sigma2_hat": "sigma2_hat_after"}
+FIG4_COLUMNS = ["prediction", "residual", "rejected", "lambda", "sigma2_hat"]
 RECURSIVE = {"rvm_rls": CASES["rvm_rls"], "rls": CASES["rls"],
              "gvff_rls": CASES["gvff_rls"], "lms": CASES["lms"]}
 
@@ -81,16 +79,14 @@ def _assert_same(expected, got):
         assert np.array_equal(got, expected)
 
 
-def _assert_same_details(outputs, columns):
-    if isinstance(outputs, Exception):
-        _assert_same(outputs, columns)
+def _assert_same_columns(expected, got):
+    if isinstance(expected, Exception):
+        _assert_same(expected, got)
         return
-    assert list(columns) == list(DETAIL_FIELDS)
-    for name, field in DETAIL_FIELDS.items():
-        expected = np.array([getattr(o, field) for o in outputs])
-        if outputs:  # no steps give an untyped (float) empty list
-            assert columns[name].dtype == expected.dtype, name
-        assert np.array_equal(columns[name], expected), name
+    assert list(got) == list(expected)
+    for name, column in expected.items():
+        assert got[name].dtype == column.dtype, name
+        assert np.array_equal(got[name], column), name
 
 
 @pytest.mark.parametrize("case", list(CASES))
@@ -110,11 +106,9 @@ def test_detailed_columns_match_run_detailed(case, scenario_traces):
     make = CASES[case]
     got = make(variance).run_lockstep_detailed(times, measurements)
     for t, y, columns in zip(times, measurements, got):
-        if case.startswith("rvm_rls"):
-            _assert_same_details(make(variance).run_detailed(t, y), columns)
-        else:
-            assert list(columns) == ["prediction"]
-            _assert_same(make(variance).run(t, y), columns["prediction"])
+        assert list(columns) == (FIG4_COLUMNS if case.startswith("rvm_rls")
+                                 else ["prediction"])
+        _assert_same_columns(make(variance).run_detailed(t, y), columns)
 
 
 def _broken_batch(times, measurements):
@@ -169,7 +163,7 @@ def test_failing_rows_match_run_and_leave_the_others(case, scenario_traces):
         with np.errstate(over="ignore", invalid="ignore"):
             details = make(variance).run_lockstep_detailed(times, measurements)
         for t, y, columns in zip(times, measurements, details):
-            _assert_same_details(_single(make(variance).run_detailed, t, y), columns)
+            _assert_same_columns(_single(make(variance).run_detailed, t, y), columns)
 
 
 @pytest.mark.parametrize("case", list(FAILING))
@@ -212,18 +206,34 @@ def test_one_trace_takes_the_run_path(case, scenario_traces, monkeypatch):
     monkeypatch.setattr(type(filt), "_lockstep_step", no_lockstep)
     (got,) = filt.run_lockstep(times[:1], measurements[:1])
     assert np.array_equal(got, RECURSIVE[case](variance).run(times[0], measurements[0]))
-    if case == "rvm_rls":
-        (columns,) = filt.run_lockstep_detailed(times[:1], measurements[:1])
-        _assert_same_details(filt.run_detailed(times[0], measurements[0]), columns)
+    (columns,) = filt.run_lockstep_detailed(times[:1], measurements[:1])
+    _assert_same_columns(filt.run_detailed(times[0], measurements[0]), columns)
+
+
+@pytest.mark.parametrize("case", list(FAILING))
+def test_one_overflowing_trace_fails_as_in_a_batch(case, scenario_traces):
+    # no errstate here, and tier-1 turns numpy's RuntimeWarning into an
+    # error: a trace alone must still end as it does in a batch, where rls
+    # raises run's typed error instead of a raw RuntimeWarning
+    variance, times, measurements = scenario_traces
+    y = measurements[0].copy()
+    y[111] = 1.7e308
+    make = FAILING[case]
+    (alone,) = make(variance).run_lockstep([times[0]], [y])
+    batch = make(variance).run_lockstep(times[:2], [y, measurements[1]])
+    _assert_same(batch[0], alone)
+    if case == "rls":
+        assert isinstance(alone, NumericalDivergenceError)
+        assert str(alone) == DIVERGES
 
 
 def test_particle_filter_runs_each_trace_alone(scenario_traces):
     _, times, measurements = scenario_traces
     filt = BootstrapParticleFilter(particle_count=20, seed=3)
-    got = filt.run_lockstep(times[:2], measurements[:2])
-    for t, y, row in zip(times, measurements, got):
-        assert np.array_equal(row, BootstrapParticleFilter(
-            particle_count=20, seed=3).run(t, y))
+    got = filt.run_lockstep_detailed(times[:2], measurements[:2])
+    for t, y, columns in zip(times, measurements, got):
+        _assert_same_columns(BootstrapParticleFilter(
+            particle_count=20, seed=3).run_detailed(t, y), columns)
     assert not hasattr(filt, "is_fitted_")  # the filter itself stays unfitted
 
 
@@ -241,9 +251,9 @@ def test_flagged_row_that_step_survives_gets_runs_predictions(scenario_traces,
     # lambda to a bound and goes on
     _, times, measurements = scenario_traces
     reruns = []
-    single_columns = RvmRls._single_columns
-    monkeypatch.setattr(RvmRls, "_single_columns", lambda self, *trace: (
-        reruns.append(trace) or single_columns(self, *trace)))
+    run_detailed = RvmRls.run_detailed
+    monkeypatch.setattr(RvmRls, "run_detailed", lambda self, *trace: (
+        reruns.append(trace) or run_detailed(self, *trace)))
     got = RvmRls(cost_gain=1e308).run_lockstep(times[:4], measurements[:4])
     assert len(reruns) == 4
     for t, y, row in zip(times, measurements, got):
@@ -258,16 +268,16 @@ def test_marked_gated_row_that_step_survives_gets_runs_columns(scenario_traces,
     times, measurements = times[:4], [y.copy() for y in measurements[:4]]
     measurements[1][150] += 1e200
     reruns = []
-    single_columns = RvmRls._single_columns
-    monkeypatch.setattr(RvmRls, "_single_columns", lambda self, *trace: (
-        reruns.append(trace) or single_columns(self, *trace)))
+    run_detailed = RvmRls.run_detailed
+    monkeypatch.setattr(RvmRls, "run_detailed", lambda self, *trace: (
+        reruns.append(trace) or run_detailed(self, *trace)))
     filt = RvmRls(target_noise_variance=variance)
     got = filt.run_lockstep(times, measurements)
     details = filt.run_lockstep_detailed(times, measurements)
     assert [y is measurements[1] for _, y in reruns] == [True, True]
     for t, y, row, columns in zip(times, measurements, got, details):
         _assert_same(RvmRls(target_noise_variance=variance).run(t, y), row)
-        _assert_same_details(RvmRls(target_noise_variance=variance).run_detailed(t, y),
+        _assert_same_columns(RvmRls(target_noise_variance=variance).run_detailed(t, y),
                              columns)
 
 
@@ -282,9 +292,9 @@ def test_zero_window_rows_go_through_run(case, scenario_traces, monkeypatch):
     make = CASES[case]
     cls = type(make(variance))
     reruns = []
-    single_columns = cls._single_columns
-    monkeypatch.setattr(cls, "_single_columns", lambda self, *trace: (
-        reruns.append(trace) or single_columns(self, *trace)))
+    run_detailed = cls.run_detailed
+    monkeypatch.setattr(cls, "run_detailed", lambda self, *trace: (
+        reruns.append(trace) or run_detailed(self, *trace)))
     got = make(variance).run_lockstep(times, measurements)
     assert [any(y is measurements[r] for r in (1, 3)) for _, y in reruns] == [True, True]
     for t, y, row in zip(times, measurements, got):
@@ -368,4 +378,4 @@ def test_any_corrupted_batch_matches_run(batch):
             if name.startswith("rvm_rls"):
                 details = make().run_lockstep_detailed(times, measurements)
                 for (t, y), columns in zip(traces, details):
-                    _assert_same_details(_single(make().run_detailed, t, y), columns)
+                    _assert_same_columns(_single(make().run_detailed, t, y), columns)

@@ -177,8 +177,11 @@ class TestStep:
 class TestRun:
     def test_boundary_empty_output(self):
         t, y = _cubic_window()
-        outputs = RvmRls(init_window=30).run_detailed(t, y)
-        assert outputs == []
+        columns = RvmRls(init_window=30).run_detailed(t, y)
+        assert list(columns) == ["prediction", "residual", "rejected", "lambda",
+                                 "sigma2_hat"]
+        assert all(len(column) == 0 for column in columns.values())
+        assert columns["rejected"].dtype == bool
 
     def test_benchmark_scenario_accuracy(self, benchmark_trace_clean):
         f = RvmRls(target_noise_variance=0.09)
@@ -192,24 +195,34 @@ class TestRun:
         clean = synthesize(ScenarioConfig(name="c", outlier_fraction=0.0, seed=3))
         f = RvmRls(target_noise_variance=0.09)
         base = f.run_detailed(clean.times, clean.measurement)
-        rejected = [i for i, r in enumerate(base) if r.rejected]
-        assert rejected, "expected at least one natural rejection"
+        rejected = np.flatnonzero(base["rejected"])
+        assert len(rejected), "expected at least one natural rejection"
         bumped = clean.measurement.copy()
-        for i in rejected:
-            bumped[100 + i] += 7.0
+        bumped[100 + rejected] += 7.0
         f2 = RvmRls(target_noise_variance=0.09)
         other = f2.run_detailed(clean.times, bumped)
         ref = clean.reference[100:]
-        me_base = max(abs(r.prediction - ref[i]) for i, r in enumerate(base))
-        me_other = max(abs(r.prediction - ref[i]) for i, r in enumerate(other))
+        me_base = np.abs(base["prediction"] - ref).max()
+        me_other = np.abs(other["prediction"] - ref).max()
         assert me_other == pytest.approx(me_base, abs=1e-9)
 
     def test_lambda_always_clipped(self, benchmark_trace_outliers):
         f = RvmRls(target_noise_variance=0.09)
-        outputs = f.run_detailed(benchmark_trace_outliers.times,
-                                 benchmark_trace_outliers.measurement)
-        lams = np.array([o.lambda_after for o in outputs])
+        lams = f.run_detailed(benchmark_trace_outliers.times,
+                              benchmark_trace_outliers.measurement)["lambda"]
         assert np.all((lams >= 0.85) & (lams <= 0.95))
+
+    def test_detailed_columns_are_the_step_records(self, benchmark_trace_outliers):
+        times = benchmark_trace_outliers.times[:300]
+        measurements = benchmark_trace_outliers.measurement[:300]
+        columns = RvmRls(target_noise_variance=0.09).run_detailed(times, measurements)
+        f = RvmRls(target_noise_variance=0.09).fit(times[:100], measurements[:100])
+        records = [f.step_detailed(t, y) for t, y in zip(times[100:], measurements[100:])]
+        assert columns["rejected"].any()
+        for name, field in (("prediction", "prediction"), ("residual", "residual"),
+                            ("rejected", "rejected"), ("lambda", "lambda_after"),
+                            ("sigma2_hat", "sigma2_hat_after")):
+            assert columns[name].tolist() == [getattr(r, field) for r in records], name
 
     def test_sigma2_recursion_convex_bound_on_stream(self, benchmark_trace_outliers):
         f = RvmRls(target_noise_variance=0.09, rejected_update="recurse")

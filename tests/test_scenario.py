@@ -34,7 +34,8 @@ class TestTerrainHeight:
 
     @pytest.mark.parametrize("name", ["amplitude", "center", "envelope_sigma",
                                       "omega", "phase"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf,
+                                       pytest.param(10**400, id="10**400"), "a"])
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             TerrainParams(**{name: value})
@@ -97,10 +98,34 @@ class TestSynthesize:
         ("noise_variance", math.nan), ("noise_variance", math.inf),
         ("outlier_fraction", math.nan),
         ("outlier_band", (math.nan, 30.0)), ("outlier_band", (-30.0, math.inf)),
+        ("clearance", "a"), ("outlier_fraction", None), ("outlier_band", (None, 30.0)),
+        pytest.param("noise_variance", 10**400, id="noise_variance-10**400"),
     ])
     def test_non_finite_field_rejected(self, name, value):
         with pytest.raises(InvalidInputError, match=f"{name} must be finite"):
             ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("sample_count", 2000.5), ("clean_prefix", 100.5), ("seed", 1.5),
+        ("sample_count", True), ("seed", None),
+    ])
+    def test_non_integer_field_rejected(self, name, value):
+        with pytest.raises(InvalidInputError, match=f"{name} must be an integer"):
+            ScenarioConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [None, (-30.0,), [-30.0, 30.0]])
+    def test_outlier_band_must_be_two_numbers(self, value):
+        with pytest.raises(InvalidInputError, match="outlier_band must be 2 numbers"):
+            ScenarioConfig(outlier_band=value)
+
+    # rejected before anything is allocated; a count between 10**7 and
+    # 10**14 is never tried, since an unbounded build would really allocate it
+    @pytest.mark.parametrize("count", [1_000_001, 10**15, 10**30])
+    def test_sample_count_bounded(self, count):
+        with pytest.raises(InvalidInputError, match="sample_count must lie in"):
+            ScenarioConfig(sample_count=count)
+        assert ScenarioConfig(sample_count=1_000_000, clean_prefix=0,
+                              outlier_fraction=0.0).sample_count == 1_000_000
 
     @pytest.mark.parametrize("terrain", [
         dict(omega=1e308), dict(center=1e200), dict(envelope_sigma=1e200),
