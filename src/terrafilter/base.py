@@ -40,6 +40,26 @@ def is_finite_number(value) -> bool:
         return False
 
 
+def describe(value) -> str:
+    """``repr(value)`` for an error message. An int too long for Python to
+    print (``sys.get_int_max_str_digits``), alone or in a tuple or list, is
+    described by its type and digit count instead."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (tuple, list)):
+            inner = ", ".join(map(describe, value))
+            return f"({inner})" if isinstance(value, tuple) else f"[{inner}]"
+        if not isinstance(value, numbers.Integral):
+            raise
+        magnitude = abs(int(value))
+        # a start below the digit count: 10**digits <= 2**(bits - 1) <= magnitude
+        digits = int((magnitude.bit_length() - 1) * math.log10(2))
+        while 10 ** digits <= magnitude:
+            digits += 1
+        return f"<{type(value).__name__} of {digits} digits>"
+
+
 def check_numbers(obj):
     """Check the numeric fields of ``obj`` by the annotations of its
     constructor: an ``int`` holds an integer other than a bool, a ``float``
@@ -54,15 +74,16 @@ def check_numbers(obj):
         args = typing.get_args(tp)
         if tp is int:
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+                raise InvalidInputError(f"{name} must be an integer, got {describe(value)}")
         elif tp is float:
             if not is_finite_number(value):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
+                raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
         elif typing.get_origin(tp) is tuple and args[0] is float:
             if not (isinstance(value, tuple) and len(value) == len(args)):
-                raise InvalidInputError(f"{name} must be {len(args)} numbers, got {value!r}")
+                raise InvalidInputError(
+                    f"{name} must be {len(args)} numbers, got {describe(value)}")
             if not all(map(is_finite_number, value)):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
+                raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -462,9 +483,3 @@ class ForgettingFactorCore(StreamingFilter):
         s.L_ = L_new
         s.mark_nonfinite(s.theta_)
         return gain
-
-    @property
-    def P_(self) -> np.ndarray:
-        """Inverse autocorrelation matrix, reconstructed from its factor."""
-        self._check_fitted()
-        return self.L_ @ self.L_.T

@@ -10,10 +10,14 @@ import math
 
 import numpy as np
 
-from .base import ForgettingFactorCore, StreamingFilter, all_finite
+from .base import ForgettingFactorCore, StreamingFilter, all_finite, describe
 from .exceptions import InvalidInputError, NumericalDivergenceError
 # batch_least_squares stays a module global here: perfbench's tracer patches it
 from .regression import batch_least_squares, poly_basis  # noqa: F401
+
+# The most particles a particle filter may hold: 2,000 times the default
+# 500. ``fit`` builds them as a list, and each step loops over them.
+MAX_PARTICLE_COUNT = 1_000_000
 
 
 class NormalizedLms(StreamingFilter):
@@ -199,8 +203,9 @@ class BootstrapParticleFilter(StreamingFilter):
 
     def _validate_params(self):
         super()._validate_params()
-        if self.particle_count < 2:
-            raise InvalidInputError("particle_count must be at least 2")
+        if not 2 <= self.particle_count <= MAX_PARTICLE_COUNT:
+            raise InvalidInputError(f"particle_count must lie in [2, {MAX_PARTICLE_COUNT}], "
+                                    f"got {describe(self.particle_count)}")
         r2 = self.measurement_std * self.measurement_std
         if not (self.process_std >= 0 and self.measurement_std > 0
                 and r2 > 0 and math.isfinite(0.5 / r2)):

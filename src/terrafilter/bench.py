@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .base import _outcome, constructor_spec, is_finite_number
+from .base import _outcome, constructor_spec, describe, is_finite_number
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
@@ -62,7 +62,8 @@ class ExperimentConfig:
             raise ConfigError("config: scenarios, algorithms, and seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
             raise ConfigError(
-                f"config.seeds: seeds must be distinct and non-negative, got {self.seeds}")
+                "config.seeds: seeds must be distinct and non-negative, "
+                f"got {describe(self.seeds)}")
         for key in ("scenarios", "algorithms"):
             names = [item.name for item in getattr(self, key)]
             if len(set(names)) != len(names) or not all(map(_NAME_RE.match, names)):

@@ -9,7 +9,7 @@ terrain-following accuracy, so its uncertainty gets a closed form.
 import math
 from dataclasses import dataclass
 
-from .base import check_numbers, is_finite_number
+from .base import check_numbers, describe, is_finite_number
 from .exceptions import InvalidInputError
 
 
@@ -17,7 +17,7 @@ def _require_finite(**values):
     """Reject a value, or tuple entry, among ``values`` that is no finite number."""
     for name, value in values.items():
         if not all(map(is_finite_number, value if isinstance(value, tuple) else (value,))):
-            raise InvalidInputError(f"{name} must be finite, got {value!r}")
+            raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
 
 
 def _floats(name, value, count):
@@ -28,7 +28,7 @@ def _floats(name, value, count):
     except (TypeError, ValueError, OverflowError):
         values = ()
     if len(values) != count:
-        raise InvalidInputError(f"{name} must be {count} numbers, got {value!r}")
+        raise InvalidInputError(f"{name} must be {count} numbers, got {describe(value)}")
     return values
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .base import describe, is_finite_number
 from .exceptions import InvalidInputError, UndefinedRatioError
 
 
@@ -45,8 +46,11 @@ def format_metrics(values) -> list:
 
 
 def _check_pair(pred, ref):
-    pred = np.asarray(pred, dtype=float)
-    ref = np.asarray(ref, dtype=float)
+    try:
+        pred = np.asarray(pred, dtype=float)
+        ref = np.asarray(ref, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"prediction and reference must be numbers: {exc}") from exc
     if pred.ndim != 1 or pred.shape != ref.shape:
         raise InvalidInputError("prediction and reference lengths must match")
     if len(pred) == 0:
@@ -76,8 +80,9 @@ def variance_ratio(pred, ref, sigma2: float) -> float:
     """Population variance of the prediction error about its own mean,
     divided by the measurement-noise variance. Near zero means strong
     noise suppression; above one means amplification."""
-    if not (math.isfinite(sigma2) and sigma2 > 0):
-        raise InvalidInputError(f"sigma2 must be a positive finite number, got {sigma2!r}")
+    if not (is_finite_number(sigma2) and sigma2 > 0):
+        raise InvalidInputError(
+            f"sigma2 must be a positive finite number, got {describe(sigma2)}")
     return _error_metric("variance_ratio",
                          lambda err: float(np.var(err)) / float(sigma2), pred, ref)
 

@@ -4,13 +4,13 @@ The filter couples two recursions: the forgetting-factor estimator adapts
 lambda by gradient descent on the squared gap between a recursively
 estimated residual variance and a target noise variance, and the parameter
 estimator runs an exponentially weighted least-squares update with the
-adapted lambda. Residuals beyond three target standard deviations are
-treated as outliers.
+adapted lambda. A residual beyond three target standard deviations marks
+its sample as an outlier, which leaves the state untouched.
 """
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -51,13 +51,12 @@ def _variance_cost(sigma2_prev, residual, lam, cost_gain, sigma2_target):
 
 @dataclass(frozen=True)
 class StepOutput:
-    """Per-step diagnostic record.
+    """Per-step diagnostic record: its fields, in order, are the fig4
+    columns (``_LOCKSTEP_COLUMNS``).
 
-    On rejected steps ``residual`` holds the raw (pre-gating) residual;
+    ``residual`` is the measurement minus the prediction, gated or not;
     ``lambda_after`` and ``sigma2_hat_after`` are the values left in the
-    filter state once the step finished. When a rejection is skipped
-    entirely, ``cost`` reports the standing variance-mismatch cost and
-    ``gradient`` is zero (no descent step was applied).
+    filter state once the step finished.
     """
 
     prediction: float
@@ -65,8 +64,6 @@ class StepOutput:
     rejected: bool
     lambda_after: float
     sigma2_hat_after: float
-    cost: float
-    gradient: float
 
 
 class RvmRls(ForgettingFactorCore):
@@ -91,11 +88,8 @@ class RvmRls(ForgettingFactorCore):
         window's residual variance (the batch parameter covariance);
         "gram" uses the bare normal-equation inverse, which makes the
         lambda = 1 recursion coincide with growing-window least squares.
-    rejected_update : what a gated sample does to the state. "skip" leaves
-        the entire state untouched; "recurse" pushes the zeroed residual
-        through the variance, lambda, gain, and covariance recursions.
-        Skipping avoids covariance growth during rejection streaks, which
-        otherwise can wind up the filter beyond recovery (see README).
+
+    A gated sample leaves the whole state untouched (see README).
     """
 
     def __init__(self, degree: int = 4, step_size: float = 1e-3,
@@ -103,8 +97,7 @@ class RvmRls(ForgettingFactorCore):
                  lambda_max: float = 0.95, lambda_init: float = 0.90,
                  target_noise_variance: float | None = None,
                  init_window: int = 100, scale_divisor: float = 100.0,
-                 outlier_gate: bool = True, covariance_init: str = "residual",
-                 rejected_update: str = "skip"):
+                 outlier_gate: bool = True, covariance_init: str = "residual"):
         self.degree = degree
         self.step_size = step_size
         self.cost_gain = cost_gain
@@ -116,7 +109,6 @@ class RvmRls(ForgettingFactorCore):
         self.scale_divisor = scale_divisor
         self.outlier_gate = outlier_gate
         self.covariance_init = covariance_init
-        self.rejected_update = rejected_update
 
     def _validate_params(self):
         super()._validate_params()
@@ -129,8 +121,6 @@ class RvmRls(ForgettingFactorCore):
             if not value > 0:
                 raise InvalidInputError(
                     f"{name} must be a positive finite number, got {value!r}")
-        if self.rejected_update not in ("skip", "recurse"):
-            raise InvalidInputError("rejected_update must be 'skip' or 'recurse'")
 
     def _init_state(self, fit, taus):
         """theta and the covariance factor from the window fit, the
@@ -149,23 +139,20 @@ class RvmRls(ForgettingFactorCore):
         Order of operations: predict, residual, 3-sigma gate, variance
         recursion and cost gradient, forgetting-factor descent with clip,
         then the least-squares gain/parameter/covariance updates under the
-        new lambda.
+        new lambda. A gated sample leaves the state as it was; only the
+        step index advances.
         """
         phi, y, prediction = self._predict(t_raw, y)
-        raw_residual = y - prediction
+        residual = y - prediction
         rejected = (
             self.outlier_gate
-            and abs(raw_residual) > 3.0 * math.sqrt(self.sigma2_target_)
+            and abs(residual) > 3.0 * math.sqrt(self.sigma2_target_)
         )
 
-        if rejected and self.rejected_update == "skip":
+        if rejected:
             self.step_index_ += 1
-            mismatch = self.sigma2_hat_ - self.sigma2_target_
-            cost = self.cost_gain * mismatch * mismatch
-            gradient = 0.0
         else:
-            residual = 0.0 if rejected else raw_residual
-            self.sigma2_hat_, cost, gradient = variance_cost(
+            self.sigma2_hat_, _, gradient = variance_cost(
                 self.sigma2_hat_, residual, self.lambda_,
                 self.cost_gain, self.sigma2_target_,
             )
@@ -173,12 +160,10 @@ class RvmRls(ForgettingFactorCore):
             self._absorb(phi, self.lambda_, residual)
         return StepOutput(
             prediction=prediction,
-            residual=raw_residual,
+            residual=residual,
             rejected=rejected,
             lambda_after=self.lambda_,
             sigma2_hat_after=self.sigma2_hat_,
-            cost=cost,
-            gradient=gradient,
         )
 
     def step(self, t_raw: float, y: float) -> float:
@@ -190,10 +175,8 @@ class RvmRls(ForgettingFactorCore):
         field of every ``step_detailed`` record. A trace exactly
         init_window long yields empty columns."""
         outputs = self._drive(times, measurements, self.step_detailed)
-        return {name: np.array([getattr(o, field) for o in outputs], dtype=dtype)
-                for (name, dtype), field in zip(self._LOCKSTEP_COLUMNS, (
-                    "prediction", "residual", "rejected", "lambda_after",
-                    "sigma2_hat_after"))}
+        return {name: np.array([getattr(o, field.name) for o in outputs], dtype=dtype)
+                for (name, dtype), field in zip(self._LOCKSTEP_COLUMNS, fields(StepOutput))}
 
     # -- lockstep ----------------------------------------------------------
 
@@ -204,7 +187,7 @@ class RvmRls(ForgettingFactorCore):
                          ("rejected", bool), ("lambda", float),
                          ("sigma2_hat", float))
 
-    # the state a gated row keeps under "skip"
+    # the state a gated row keeps
     _GATED_STATE = operator.attrgetter("theta_", "L_", "f_order", "lambda_", "sigma2_hat_")
 
     def _stack_state(self, s, filters):
@@ -214,11 +197,9 @@ class RvmRls(ForgettingFactorCore):
                   else np.full(len(filters), np.inf))
 
     def _lockstep_step(self, s, j):
-        phi, prediction, raw_residual = self._predict_rows(s, j)
-        rejected = np.abs(raw_residual) > s.gate
+        phi, prediction, residual = self._predict_rows(s, j)
+        rejected = np.abs(residual) > s.gate
         before = self._GATED_STATE(s)
-        residual = (np.where(rejected, 0.0, raw_residual)
-                    if self.rejected_update == "recurse" else raw_residual)
         # a non-finite input always leaves a non-finite gradient, so this
         # mark covers variance_cost's checks
         s.sigma2_hat_, _, gradient = _variance_cost(
@@ -227,8 +208,8 @@ class RvmRls(ForgettingFactorCore):
         s.lambda_ = np.minimum(np.maximum(s.lambda_ - self.step_size * gradient,
                                           self.lambda_min), self.lambda_max)
         self._absorb_rows(s, phi, s.lambda_, residual)
-        if self.rejected_update == "skip" and rejected.any():
+        if rejected.any():
             # a gated row's update is dropped: it keeps its state
             for new, old in zip(self._GATED_STATE(s), before):
                 new[rejected] = old[rejected]
-        return prediction, raw_residual, rejected, s.lambda_, s.sigma2_hat_
+        return prediction, residual, rejected, s.lambda_, s.sigma2_hat_

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .base import check_numbers
+from .base import check_numbers, describe
 from .exceptions import InvalidInputError
 
 TRACE_HEADER = ["t", "H", "p", "z", "outlier"]
@@ -71,8 +71,8 @@ class ScenarioConfig:
     def __post_init__(self):
         check_numbers(self)
         if not 0 < self.sample_count <= MAX_SAMPLE_COUNT:
-            raise InvalidInputError(
-                f"sample_count must lie in [1, {MAX_SAMPLE_COUNT}], got {self.sample_count}")
+            raise InvalidInputError(f"sample_count must lie in [1, {MAX_SAMPLE_COUNT}], "
+                                    f"got {describe(self.sample_count)}")
         if self.noise_variance < 0:
             raise InvalidInputError("noise_variance must be non-negative")
         if not (0.0 <= self.outlier_fraction <= 1.0):

@@ -217,7 +217,7 @@ def test_criterion_09_invariant_suite():
             # diag(P) = row norms of the factor; cheap enough for every step
             checks.append(bool(np.all((filt.L_ * filt.L_).sum(axis=1) > 0)))
             if j % 400 == 0:
-                P = filt.P_
+                P = filt.L_ @ filt.L_.T
                 checks.append(bool(np.abs(P - P.T).max()
                                    <= 1e-9 * max(np.abs(P).max(), 1e-30)))
                 checks.append(float(np.linalg.eigvalsh(P).min())

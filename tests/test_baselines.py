@@ -7,6 +7,7 @@ from terrafilter import (BootstrapParticleFilter, GvffRls, InvalidInputError,
                          NormalizedLms, NumericalDivergenceError, RvmRls,
                          StaticRls, batch_least_squares, max_error, mse,
                          poly_basis)
+from terrafilter.baselines import MAX_PARTICLE_COUNT
 
 ALL_FILTERS = [
     lambda: RvmRls(target_noise_variance=0.09),
@@ -253,6 +254,14 @@ class TestBootstrapParticleFilter:
                     {"measurement_std": np.inf}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 BootstrapParticleFilter(**bad).fit(np.arange(100.0), np.zeros(100))
+
+    # checked alone: a fit with an unchecked count would build the particles
+    @pytest.mark.parametrize("count", [MAX_PARTICLE_COUNT + 1, 10**15, 10**30],
+                             ids=["1000001", "10**15", "10**30"])
+    def test_particle_count_bounded(self, count):
+        with pytest.raises(InvalidInputError, match="particle_count must lie in"):
+            BootstrapParticleFilter(particle_count=count)._validate_params()
+        BootstrapParticleFilter(particle_count=MAX_PARTICLE_COUNT)._validate_params()
 
 
 class TestInterfaceUniformity:

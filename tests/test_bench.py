@@ -511,6 +511,28 @@ class TestCli:
         assert err.startswith("config error: ") and "Traceback" not in err
         assert (field or "is not valid JSON") in err
 
+    # load_config is asserted first, so that a particle count a run would
+    # really allocate never reaches one where the bound is missing
+    @pytest.mark.parametrize("kind, params, message", [
+        ("rvm_rls", {"rejected_update": "skip"}, ".params.rejected_update: unknown key"),
+        ("pf", {"particle_count": 1_000_001}, ".params: particle_count must lie in"),
+        ("pf", {"particle_count": 10**15}, ".params: particle_count must lie in"),
+        ("pf", {"particle_count": 10**30}, ".params: particle_count must lie in"),
+    ], ids=["rejected_update", "particle-count-1000001", "particle-count-10-15",
+            "particle-count-10-30"])
+    def test_bad_filter_param_exits_2_without_traceback(self, kind, params, message,
+                                                        tmp_path, capsys):
+        payload = json.loads(self._config_file(tmp_path).read_text())
+        payload["algorithms"] = [{"name": kind, "kind": kind, "params": params}]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ConfigError, match=message):
+            load_config(path)
+        assert main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config.algorithms[0]") and "Traceback" not in err
+        assert message in err
+
     @pytest.mark.parametrize("row", ["rvm_rls,0.1,abc,1,1,s,0", "rvm_rls,0.1,0.2",
                                      "rvm_rls,0.1,nan,1,1,s,0", "rvm_rls,0.1,0.2,1,1,s,-1",
                                      "rvm_rls,0.1,0.2,1,1,s" + "s" * 200_000 + ",0",

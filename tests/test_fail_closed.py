@@ -13,14 +13,15 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from terrafilter import (ConfigError, InvalidInputError, ScenarioConfig, TerrainParams,
-                         TerraFilterError, WaypointGeometry, max_error, mse,
-                         next_waypoint, synthesize, variance_ratio,
-                         vertical_recursion, waypoint_std)
+from terrafilter import (BootstrapParticleFilter, ConfigError, InvalidInputError, RvmRls,
+                         ScenarioConfig, TerrainParams, TerraFilterError,
+                         WaypointGeometry, max_error, mse, next_waypoint, synthesize,
+                         variance_ratio, vertical_recursion, waypoint_std)
 from terrafilter.base import constructor_spec
-from terrafilter.bench import FILTER_KINDS, ExperimentConfig, load_config
+from terrafilter.bench import FILTER_KINDS, AlgorithmSpec, ExperimentConfig, load_config
 from terrafilter.metrics import (REPORT_FIELDS, aggregate_csv, render_tables,
                                  reports_from_csv)
 
@@ -31,6 +32,37 @@ from goldens import BENCHMARK_CONFIG
 ANY = st.floats()
 PAIRS = st.lists(st.tuples(ANY, ANY), min_size=1, max_size=6)
 SUITE = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+
+
+# past Python's 4,300-digit limit for printing an int, so a message that
+# formats it with repr would itself raise a ValueError
+HUGE = 10**5000
+GEOMETRY = WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: RvmRls(step_size=HUGE).fit(np.arange(100.0), np.zeros(100)),
+     "step_size must be finite, got <int of 5001 digits>"),
+    (lambda: ScenarioConfig(clearance=-HUGE),
+     "clearance must be finite, got <int of 5001 digits>"),
+    (lambda: ScenarioConfig(sample_count=HUGE),
+     r"sample_count must lie in \[1, 1000000\], got <int of 5001 digits>"),
+    (lambda: ScenarioConfig(outlier_band=(HUGE, 30.0)),
+     r"outlier_band must be finite, got \(<int of 5001 digits>, 30.0\)"),
+    (lambda: BootstrapParticleFilter(particle_count=HUGE)._validate_params(),
+     r"particle_count must lie in \[2, 1000000\], got <int of 5001 digits>"),
+    (lambda: vertical_recursion(HUGE, 20.0, 30.0, 0.5),
+     "z_prev must be finite, got <int of 5001 digits>"),
+    (lambda: next_waypoint([0.0, HUGE - 1, 0.0], GEOMETRY),
+     r"current must be 3 numbers, got \[0.0, <int of 5000 digits>, 0.0\]"),
+    (lambda: ExperimentConfig(scenarios=[ScenarioConfig()], seeds=[0, -HUGE],
+                              algorithms=[AlgorithmSpec(name="lms", kind="lms")]).validate(),
+     r"seeds must be distinct and non-negative, got \[0, <int of 5001 digits>\]"),
+], ids=["check_numbers-float", "check_numbers-negative", "sample_count", "check_numbers-tuple",
+        "particle_count", "require_finite", "floats-count", "config-seeds"])
+def test_huge_integer_shown_by_digit_count(build, message):
+    with pytest.raises(TerraFilterError, match=message):
+        build()
 
 
 def assert_fails_closed(fn, *args):

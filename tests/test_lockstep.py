@@ -28,12 +28,8 @@ SEEDS = range(20)  # terrain_outliers seeds 12, 16 and 18 gate their first
 
 CASES = {
     "rvm_rls": lambda var: RvmRls(target_noise_variance=var),
-    "rvm_rls_recurse": lambda var: RvmRls(target_noise_variance=var,
-                                          rejected_update="recurse"),
     "rvm_rls_no_gate": lambda var: RvmRls(target_noise_variance=var,
                                           outlier_gate=False),
-    "rvm_rls_recurse_no_gate": lambda var: RvmRls(
-        target_noise_variance=var, rejected_update="recurse", outlier_gate=False),
     "rvm_rls_gram": lambda var: RvmRls(covariance_init="gram"),
     "rvm_rls_degree_2": lambda var: RvmRls(degree=2, target_noise_variance=var),
     "rls": lambda var: StaticRls(),
@@ -129,13 +125,12 @@ def _broken_batch(times, measurements):
 
 
 FAILING = dict(RECURSIVE, rvm_rls_no_gate=CASES["rvm_rls_no_gate"],
-               rvm_rls_recurse_no_gate=CASES["rvm_rls_recurse_no_gate"],
                rvm_rls_gram=CASES["rvm_rls_gram"])
 # what run raises on rows of the broken batch where the filters differ
 DIVERGES = "parameter vector became non-finite (step_index=111)"
 RAISES = {
     "rls": {3: DIVERGES}, "gvff_rls": {3: DIVERGES},
-    "rvm_rls_no_gate": {3: DIVERGES}, "rvm_rls_recurse_no_gate": {3: DIVERGES},
+    "rvm_rls_no_gate": {3: DIVERGES},
     "rvm_rls_gram": {6: "sigma2_prev must be finite"},
     # a level tracker has no basis to overflow, and 1e80 + 151 == 1e80 + 150
     "lms": {7: "time must increase strictly (got 1e+80 after 1e+80)"},

@@ -37,6 +37,16 @@ class TestMse:
         with pytest.raises(InvalidInputError, match="must be finite"):
             metric(pred, ref)
 
+    @pytest.mark.parametrize("metric", [mse, max_error,
+                                        lambda p, r: variance_ratio(p, r, 0.09)],
+                             ids=["mse", "max_error", "variance_ratio"])
+    @pytest.mark.parametrize("pred, ref", [(["a"], [0.0]), ([0.0], ["a"]),
+                                           ([10**400], [0.0]), ([0.0], [-10**400])],
+                             ids=["pred-a", "ref-a", "pred-10**400", "ref-10**400"])
+    def test_non_numeric_input_rejected(self, metric, pred, ref):
+        with pytest.raises(InvalidInputError, match="must be numbers"):
+            metric(pred, ref)
+
     @pytest.mark.parametrize("name, metric, args", [
         ("mse", mse, ([1e200], [0.0])),
         ("max_error", max_error, ([1e308], [-1e308])),
@@ -61,7 +71,8 @@ class TestVarianceRatio:
         with pytest.raises(InvalidInputError):
             variance_ratio([1.0], [1.0], 0.0)
 
-    @pytest.mark.parametrize("sigma2", [np.inf, np.nan])
+    @pytest.mark.parametrize("sigma2", [np.inf, np.nan, "x", None, True,
+                                        pytest.param(10**400, id="10**400")])
     def test_non_finite_sigma_rejected(self, sigma2):
         with pytest.raises(InvalidInputError, match="sigma2 must be a positive finite"):
             variance_ratio([1.0], [1.0], sigma2)

@@ -109,40 +109,23 @@ class TestStep:
         kw.setdefault("target_noise_variance", 0.09)
         return RvmRls(**kw).fit(t, y)
 
-    @pytest.mark.parametrize("mode", ["skip", "recurse"])
-    def test_rejection_freezes_theta(self, mode):
-        f = self._fitted(rejected_update=mode)
+    def test_rejection_freezes_theta(self):
+        f = self._fitted()
         theta_before = f.theta_.copy()
         out = f.step_detailed(30.0, 50.0)  # residual way past 3 sigma
         assert out.rejected
         assert abs(out.residual) > 3.0 * math.sqrt(0.09)
         assert np.all(f.theta_ == theta_before)  # bit-for-bit
 
-    def test_recurse_mode_updates_covariance_per_forgetting_rule(self):
-        f = self._fitted(rejected_update="recurse")
-        P_before = f.P_.copy()
-        lam_before = f.lambda_
-        sig_before = f.sigma2_hat_
-        out = f.step_detailed(30.0, 50.0)
-        assert out.rejected
-        # sigma2 deflates by the forgetting factor, lambda moves by the
-        # descent rule, and P follows the rank-one forgetting update
-        assert f.sigma2_hat_ == pytest.approx(lam_before * sig_before)
-        phi = np.array([1.0] + [0.3**k for k in range(1, 5)])
-        Pphi = P_before @ phi
-        expected = (P_before - np.outer(Pphi, Pphi) /
-                    (f.lambda_ + phi @ Pphi)) / f.lambda_
-        np.testing.assert_allclose(f.P_, expected, atol=1e-12)
-
     def test_skip_mode_leaves_state_untouched(self):
-        f = self._fitted(rejected_update="skip")
-        P_before = f.P_.copy()
+        f = self._fitted()
+        L_before = f.L_.copy()
         lam_before, sig_before = f.lambda_, f.sigma2_hat_
         out = f.step_detailed(30.0, 50.0)
-        assert out.rejected and out.gradient == 0.0
+        assert out.rejected
         assert f.lambda_ == lam_before
         assert f.sigma2_hat_ == sig_before
-        np.testing.assert_array_equal(f.P_, P_before)
+        np.testing.assert_array_equal(f.L_, L_before)
 
     def test_constant_signal_convergence(self):
         t = np.arange(100.0)
@@ -225,7 +208,7 @@ class TestRun:
             assert columns[name].tolist() == [getattr(r, field) for r in records], name
 
     def test_sigma2_recursion_convex_bound_on_stream(self, benchmark_trace_outliers):
-        f = RvmRls(target_noise_variance=0.09, rejected_update="recurse")
+        f = RvmRls(target_noise_variance=0.09)
         n0 = f.init_window
         f.fit(benchmark_trace_outliers.times[:n0],
               benchmark_trace_outliers.measurement[:n0])
@@ -233,9 +216,11 @@ class TestRun:
             before = f.sigma2_hat_
             out = f.step_detailed(benchmark_trace_outliers.times[j],
                                   benchmark_trace_outliers.measurement[j])
-            r_eff = 0.0 if out.rejected else out.residual
-            lo = min(before, r_eff**2) - 1e-12
-            hi = max(before, r_eff**2) + 1e-12
+            if out.rejected:  # a gated sample leaves the estimate as it was
+                assert out.sigma2_hat_after == before
+                continue
+            lo = min(before, out.residual**2) - 1e-12
+            hi = max(before, out.residual**2) + 1e-12
             assert lo <= out.sigma2_hat_after <= hi
 
     def test_covariance_stays_symmetric_positive(self, benchmark_trace_outliers):
@@ -247,7 +232,7 @@ class TestRun:
             f.step(benchmark_trace_outliers.times[j],
                    benchmark_trace_outliers.measurement[j])
             if j % 200 == 0:
-                P = f.P_
+                P = f.L_ @ f.L_.T
                 assert np.abs(P - P.T).max() <= 1e-9 * max(np.abs(P).max(), 1e-30)
                 assert np.all(np.diag(P) > 0)
                 assert np.linalg.eigvalsh(P).min() >= -1e-9 * np.trace(P)
