@@ -249,27 +249,21 @@ class StreamingFilter:
     # ``run_detailed``.
     _lockstep_step = None
 
-    def run_lockstep(self, times_list, measurements_list) -> list:
-        """Run a copy of this filter over each trace, as ``run`` would.
-
-        Returns one entry per trace: its predictions, or the exception
-        ``run`` raises on it. The filter itself is left as it was. The
-        recursive filters advance the copies of regular traces together,
-        one sample at a time, with stacked numpy calls whose results are
-        bit-identical to ``run``'s. This path only detects: a trace that is
-        not regular, or whose row a guard marks, goes through ``run``, which
-        alone decides and words a failure. So do a single trace and every
-        trace of a filter without a lockstep step (the particle filter).
-        """
-        return [out if isinstance(out, Exception) else out["prediction"]
-                for out in self.run_lockstep_detailed(times_list, measurements_list)]
-
     def _copy(self):
         return type(self)(**self.get_params())
 
     def run_lockstep_detailed(self, times_list, measurements_list) -> list:
-        """``run_lockstep`` with every per-step column: one entry per trace,
-        its ``run_detailed`` dict, or the exception ``run`` raises on it."""
+        """Run a copy of this filter over each trace, as ``run_detailed`` would.
+
+        Returns per trace its ``run_detailed`` dict, or the exception ``run``
+        raises on it; the filter itself is left as it was. The recursive
+        filters advance the copies of regular traces together, one sample at
+        a time, with stacked numpy calls whose columns are bit-identical to
+        ``run_detailed``'s. This path only detects: a trace that is not
+        regular, or whose row a guard marks, goes through ``run_detailed``,
+        which alone decides and words a failure. So do a single trace and
+        every trace of a filter without a lockstep step (the particle filter).
+        """
         if len(times_list) != len(measurements_list):
             raise InvalidInputError("times_list and measurements_list must match in length")
         traces = list(zip(times_list, measurements_list))

@@ -206,6 +206,8 @@ class BootstrapParticleFilter(StreamingFilter):
         if not 2 <= self.particle_count <= MAX_PARTICLE_COUNT:
             raise InvalidInputError(f"particle_count must lie in [2, {MAX_PARTICLE_COUNT}], "
                                     f"got {describe(self.particle_count)}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {describe(self.seed)}")
         r2 = self.measurement_std * self.measurement_std
         if not (self.process_std >= 0 and self.measurement_std > 0
                 and r2 > 0 and math.isfinite(0.5 / r2)):

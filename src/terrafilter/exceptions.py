@@ -32,9 +32,5 @@ class NotFittedError(TerraFilterError, RuntimeError):
     """Raised when ``step``/``run`` is called before ``fit``."""
 
 
-class UndefinedRatioError(TerraFilterError, ZeroDivisionError):
-    """Raised when a relative improvement is requested against a zero baseline."""
-
-
 class ConfigError(TerraFilterError, ValueError):
     """Raised for invalid or unknown keys in experiment configuration files."""

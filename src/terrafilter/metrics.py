@@ -10,13 +10,14 @@ import csv
 import io
 import itertools
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .base import describe, is_finite_number
-from .exceptions import InvalidInputError, UndefinedRatioError
+from .exceptions import InvalidInputError
 
 
 @dataclass
@@ -92,23 +93,6 @@ def max_error(pred, ref) -> float:
     return _error_metric("max_error", lambda err: np.max(np.abs(err)), pred, ref)
 
 
-def improvement(baseline: MetricsReport, candidate: MetricsReport,
-                metric: str) -> float:
-    """Percent improvement of candidate over baseline on one metric:
-    100 * (baseline - candidate) / baseline."""
-    if metric not in METRIC_COLUMNS:
-        raise InvalidInputError(f"unknown metric {metric!r}")
-    if (baseline.scenario_id, baseline.seed) != (candidate.scenario_id, candidate.seed):
-        raise InvalidInputError("reports must share scenario and seed")
-    base = getattr(baseline, metric)
-    cand = getattr(candidate, metric)
-    if not (math.isfinite(base) and math.isfinite(cand)):
-        raise InvalidInputError(f"{metric} must be finite, got {base!r} and {cand!r}")
-    if base == 0:
-        raise UndefinedRatioError(f"baseline {metric} is zero")
-    return 100.0 * (base - cand) / base
-
-
 # time_step's timed runs; a warm-up run before them is discarded
 TIMED_RUNS = 3
 
@@ -120,8 +104,13 @@ def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
     trace's leading init window, and times the bare step loop with the
     monotonic clock. One warm-up run is discarded; the median of the
     ``TIMED_RUNS`` timed runs is returned. ``timed_steps`` caps the number
-    of steps per run.
+    of steps per run: None, or an integer of at least 1.
     """
+    if timed_steps is not None and (isinstance(timed_steps, bool)
+                                    or not isinstance(timed_steps, numbers.Integral)
+                                    or timed_steps < 1):
+        raise InvalidInputError(
+            f"timed_steps must be None or an integer >= 1, got {describe(timed_steps)}")
     times = trace.times
     measurements = trace.measurement
     probe = filter_factory()

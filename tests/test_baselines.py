@@ -263,6 +263,16 @@ class TestBootstrapParticleFilter:
             BootstrapParticleFilter(particle_count=count)._validate_params()
         BootstrapParticleFilter(particle_count=MAX_PARTICLE_COUNT)._validate_params()
 
+    @pytest.mark.parametrize("seed, shown", [(-1, "-1"), (-10**5000, "<int of 5001 digits>")],
+                             ids=["-1", "-10**5000"])
+    def test_negative_seed_rejected(self, seed, shown, benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        message = f"seed must be >= 0, got {shown}"
+        with pytest.raises(InvalidInputError, match=message):
+            BootstrapParticleFilter(seed=seed).fit(np.arange(100.0), np.zeros(100))
+        with pytest.raises(InvalidInputError, match=message):
+            BootstrapParticleFilter(seed=seed).run(trace.times, trace.measurement)
+
 
 class TestInterfaceUniformity:
     @pytest.mark.parametrize("bad", [0.0, -100.0, np.nan, np.inf])

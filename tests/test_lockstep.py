@@ -1,4 +1,4 @@
-"""``run_lockstep`` must reproduce ``run`` bit for bit, trace by trace.
+"""``run_lockstep_detailed`` must reproduce ``run`` bit for bit, trace by trace.
 
 Every filter copy in a lockstep batch must give exactly the predictions
 that its own ``run`` gives, and the columns that its own ``run_detailed``
@@ -65,6 +65,13 @@ def _single(run, times, measurements):
         return exc
 
 
+def _predictions(filt, times, measurements):
+    """Per trace, the ``prediction`` column of ``filt.run_lockstep_detailed``,
+    or the exception in its place."""
+    return [out if isinstance(out, Exception) else out["prediction"]
+            for out in filt.run_lockstep_detailed(times, measurements)]
+
+
 def _assert_same(expected, got):
     if isinstance(expected, Exception):
         assert type(got) is type(expected)
@@ -89,7 +96,7 @@ def _assert_same_columns(expected, got):
 def test_matches_run(case, scenario_traces):
     variance, times, measurements = scenario_traces
     make = CASES[case]
-    got = make(variance).run_lockstep(times, measurements)
+    got = _predictions(make(variance), times, measurements)
     assert len(got) == len(times)
     for t, y, row in zip(times, measurements, got):
         _assert_same(make(variance).run(t, y), row)
@@ -151,7 +158,7 @@ def test_failing_rows_match_run_and_leave_the_others(case, scenario_traces):
     assert {r: str(expected[r]) for r in raises} == raises
     assert len(expected[5]) == 150
     with np.errstate(over="ignore", invalid="ignore"):  # row 6's fit overflows
-        got = make(variance).run_lockstep(times, measurements)
+        got = _predictions(make(variance), times, measurements)
     for e, g in zip(expected, got):
         _assert_same(e, g)
     if case.startswith("rvm_rls"):
@@ -168,8 +175,8 @@ def test_overflowing_rows_raise_no_numpy_warning(case, scenario_traces):
     variance, times, measurements = scenario_traces
     times, measurements = _broken_batch(times, measurements)
     rows = [0, 3, 7]
-    got = FAILING[case](variance).run_lockstep([times[r] for r in rows],
-                                               [measurements[r] for r in rows])
+    got = _predictions(FAILING[case](variance), [times[r] for r in rows],
+                       [measurements[r] for r in rows])
     for r, g in zip(rows, got):
         _assert_same(_single(FAILING[case](variance).run, times[r], measurements[r]), g)
 
@@ -185,7 +192,7 @@ def test_guard_at_the_last_step_is_not_missed(case, scenario_traces):
     measurements[2][-1] = 1e306
     make = FAILING[case]
     with np.errstate(over="ignore", invalid="ignore"):
-        got = make(variance).run_lockstep(times, measurements)
+        got = _predictions(make(variance), times, measurements)
     for t, y, row in zip(times, measurements, got):
         _assert_same(_single(make(variance).run, t, y), row)
 
@@ -199,7 +206,7 @@ def test_one_trace_takes_the_run_path(case, scenario_traces, monkeypatch):
         raise AssertionError("a single trace must not take the lockstep path")
 
     monkeypatch.setattr(type(filt), "_lockstep_step", no_lockstep)
-    (got,) = filt.run_lockstep(times[:1], measurements[:1])
+    (got,) = _predictions(filt, times[:1], measurements[:1])
     assert np.array_equal(got, RECURSIVE[case](variance).run(times[0], measurements[0]))
     (columns,) = filt.run_lockstep_detailed(times[:1], measurements[:1])
     _assert_same_columns(filt.run_detailed(times[0], measurements[0]), columns)
@@ -214,8 +221,8 @@ def test_one_overflowing_trace_fails_as_in_a_batch(case, scenario_traces):
     y = measurements[0].copy()
     y[111] = 1.7e308
     make = FAILING[case]
-    (alone,) = make(variance).run_lockstep([times[0]], [y])
-    batch = make(variance).run_lockstep(times[:2], [y, measurements[1]])
+    (alone,) = _predictions(make(variance), [times[0]], [y])
+    batch = _predictions(make(variance), times[:2], [y, measurements[1]])
     _assert_same(batch[0], alone)
     if case == "rls":
         assert isinstance(alone, NumericalDivergenceError)
@@ -235,7 +242,7 @@ def test_particle_filter_runs_each_trace_alone(scenario_traces):
 def test_lockstep_leaves_the_filter_unfitted(scenario_traces):
     _, times, measurements = scenario_traces
     filt = StaticRls()
-    filt.run_lockstep(times[:3], measurements[:3])
+    _predictions(filt, times[:3], measurements[:3])
     assert not hasattr(filt, "is_fitted_")
 
 
@@ -249,7 +256,7 @@ def test_flagged_row_that_step_survives_gets_runs_predictions(scenario_traces,
     run_detailed = RvmRls.run_detailed
     monkeypatch.setattr(RvmRls, "run_detailed", lambda self, *trace: (
         reruns.append(trace) or run_detailed(self, *trace)))
-    got = RvmRls(cost_gain=1e308).run_lockstep(times[:4], measurements[:4])
+    got = _predictions(RvmRls(cost_gain=1e308), times[:4], measurements[:4])
     assert len(reruns) == 4
     for t, y, row in zip(times, measurements, got):
         _assert_same(RvmRls(cost_gain=1e308).run(t, y), row)
@@ -267,7 +274,7 @@ def test_marked_gated_row_that_step_survives_gets_runs_columns(scenario_traces,
     monkeypatch.setattr(RvmRls, "run_detailed", lambda self, *trace: (
         reruns.append(trace) or run_detailed(self, *trace)))
     filt = RvmRls(target_noise_variance=variance)
-    got = filt.run_lockstep(times, measurements)
+    got = _predictions(filt, times, measurements)
     details = filt.run_lockstep_detailed(times, measurements)
     assert [y is measurements[1] for _, y in reruns] == [True, True]
     for t, y, row, columns in zip(times, measurements, got, details):
@@ -290,7 +297,7 @@ def test_zero_window_rows_go_through_run(case, scenario_traces, monkeypatch):
     run_detailed = cls.run_detailed
     monkeypatch.setattr(cls, "run_detailed", lambda self, *trace: (
         reruns.append(trace) or run_detailed(self, *trace)))
-    got = make(variance).run_lockstep(times, measurements)
+    got = _predictions(make(variance), times, measurements)
     assert [any(y is measurements[r] for r in (1, 3)) for _, y in reruns] == [True, True]
     for t, y, row in zip(times, measurements, got):
         _assert_same(_single(make(variance).run, t, y), row)
@@ -364,7 +371,7 @@ def test_any_corrupted_batch_matches_run(batch):
     measurements = [y for _, y in traces]
     with np.errstate(all="ignore"):  # the corrupted traces overflow on purpose
         for name, make in PROPERTY_FILTERS.items():
-            got = make().run_lockstep(times, measurements)
+            got = _predictions(make(), times, measurements)
             for (t, y), row in zip(traces, got):
                 _assert_same(_single(make().run, t, y), row)
                 # fail closed: finite predictions, or a typed error

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from terrafilter import (InvalidInputError, MetricsReport, NormalizedLms,
-                         ScenarioConfig, UndefinedRatioError, improvement,
-                         max_error, mse, synthesize, time_step, variance_ratio)
+                         ScenarioConfig, max_error, mse, synthesize, time_step,
+                         variance_ratio)
 from terrafilter.metrics import reports_from_csv, reports_to_csv
 
 
@@ -112,32 +112,6 @@ class TestMaxError:
             variance_ratio(pred, ref, 0.09))
 
 
-class TestImprovement:
-    def test_equal_values(self):
-        assert improvement(_report(mse=0.5), _report(mse=0.5), "mse") == 0.0
-
-    def test_perfect_candidate(self):
-        assert improvement(_report(mse=0.5), _report(mse=0.0), "mse") == 100.0
-
-    def test_published_pair(self):
-        # the headline accuracy-gain figure: 0.132 -> 0.016 is ~88%
-        pct = improvement(_report(mse=0.132), _report(mse=0.016), "mse")
-        assert pct == pytest.approx(87.9, abs=0.05)
-
-    def test_zero_baseline(self):
-        with pytest.raises(UndefinedRatioError):
-            improvement(_report(mse=0.0), _report(mse=0.1), "mse")
-
-    def test_mismatched_cells(self):
-        with pytest.raises(InvalidInputError):
-            improvement(_report(seed=0), _report(seed=1), "mse")
-
-    @pytest.mark.parametrize("base, cand", [(np.nan, 0.1), (0.1, np.inf), (-np.inf, 0.1)])
-    def test_non_finite_metric_rejected(self, base, cand):
-        with pytest.raises(InvalidInputError, match="mse must be finite"):
-            improvement(_report(mse=base), _report(mse=cand), "mse")
-
-
 @pytest.fixture(scope="module")
 def short_trace():
     return synthesize(ScenarioConfig(sample_count=400, clean_prefix=100, seed=0))
@@ -161,6 +135,17 @@ class TestTimeStep:
         a = time_step(lambda: NormalizedLms(), short_trace, timed_steps=200)
         b = time_step(lambda: NormalizedLms(), short_trace, timed_steps=200)
         assert abs(a - b) / max(a, b) < 0.5
+
+    @pytest.mark.parametrize("bad", [0, -5, 2.5, True, "400"])
+    def test_bad_timed_steps_rejected_before_any_filter(self, bad, short_trace):
+        built = []
+        with pytest.raises(InvalidInputError, match="timed_steps must be None or an integer"):
+            time_step(lambda: built.append(1) or self._NoOp(), short_trace, timed_steps=bad)
+        assert built == []
+
+    @pytest.mark.parametrize("steps", [1, np.int64(1)], ids=["int", "np.int64"])
+    def test_one_timed_step(self, steps, short_trace):
+        assert time_step(self._NoOp, short_trace, timed_steps=steps) >= 0.0
 
     def test_too_short(self):
         trace = synthesize(ScenarioConfig(sample_count=10, clean_prefix=0,

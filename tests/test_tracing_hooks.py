@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from terrafilter import BootstrapParticleFilter, RvmRls, ScenarioConfig, synthesize
+from terrafilter.bench import AlgorithmSpec, ExperimentConfig, run_experiments
+from terrafilter.metrics import TIMED_RUNS
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -52,3 +54,23 @@ def test_one_batch_fit_per_run(make):
     finally:
         tracer.restore()
     assert tracer.summary()["regression.batch_least_squares.calls"] == 1
+
+
+def test_timing_pass_per_layer_counts(tmp_path):
+    # the serial timing pass runs in this process: one time_step per
+    # (scenario, algorithm), each a warm-up plus TIMED_RUNS fitted runs of
+    # every post-window step; a change to that shape must change these
+    config = ExperimentConfig(
+        scenarios=[ScenarioConfig(name="short", sample_count=130, clean_prefix=100)],
+        algorithms=[AlgorithmSpec("rvm_rls", "rvm_rls"), AlgorithmSpec("lms", "lms")],
+        seeds=[0, 1], emit_traces=False)
+    tracer = _tracer()
+    try:
+        tracer.install()
+        run_experiments(config, out_dir=tmp_path)
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    assert summary["bench.timing.pairs"] == 2
+    assert summary["bench.timing.runs_per_pair"] == TIMED_RUNS + 1
+    assert summary["bench.timing.steps_per_run"] == 30
