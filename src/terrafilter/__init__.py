@@ -8,8 +8,7 @@ from .baselines import (BootstrapParticleFilter, GvffRls, NormalizedLms,
 from .exceptions import (ConfigError, InsufficientDataError, InvalidInputError,
                          NotFittedError, NumericalDivergenceError,
                          SingularFitError, TerraFilterError)
-from .geometry import (WaypointGeometry, next_waypoint, vertical_recursion,
-                       waypoint_std)
+from .geometry import WaypointGeometry, next_waypoint, waypoint_std
 from .metrics import MetricsReport, max_error, mse, time_step, variance_ratio
 from .regression import BatchFit, batch_least_squares, poly_basis
 from .rvm_rls import RvmRls, StepOutput, variance_cost
@@ -24,5 +23,5 @@ __all__ = [
     "StepOutput", "TerraFilterError", "TerrainParams", "WaypointGeometry",
     "batch_least_squares", "max_error", "mse", "next_waypoint", "poly_basis",
     "synthesize", "terrain_height", "time_step", "variance_cost",
-    "variance_ratio", "vertical_recursion", "waypoint_std", "write_trace_csv",
+    "variance_ratio", "waypoint_std", "write_trace_csv",
 ]

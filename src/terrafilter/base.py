@@ -86,6 +86,20 @@ def check_numbers(obj):
                 raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
 
 
+def _as_trace(times, measurements):
+    """``times`` and ``measurements`` as 1-D float arrays of equal shape;
+    anything else, values numpy cannot convert to floats included, is an
+    InvalidInputError."""
+    try:
+        times = np.asarray(times, dtype=float)
+        measurements = np.asarray(measurements, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidInputError(f"times and measurements must be numbers ({exc})") from None
+    if times.ndim != 1 or times.shape != measurements.shape:
+        raise InvalidInputError("times and measurements must be 1-D and match in length")
+    return times, measurements
+
+
 def all_finite(x: np.ndarray) -> bool:
     """True when every entry of the vector ``x`` is finite. x . x decides in
     one BLAS call unless a finite entry beyond ~1e154 overflows the square;
@@ -151,10 +165,7 @@ class StreamingFilter:
         samples, fit it by batch least squares in scaled time and set the
         fitted state through ``_init_state``; returns ``self``."""
         self._validate_params()
-        times = np.asarray(times, dtype=float)
-        measurements = np.asarray(measurements, dtype=float)
-        if times.ndim != 1 or times.shape != measurements.shape:
-            raise InvalidInputError("times and measurements must match in length")
+        times, measurements = _as_trace(times, measurements)
         if len(times) != self.init_window:
             raise InvalidInputError(f"fit expects exactly init_window={self.init_window} "
                                     f"samples, got {len(times)}")
@@ -176,8 +187,12 @@ class StreamingFilter:
         self.theta_ = fit.theta.copy()
 
     def _advance_clock(self, t_raw: float, y: float):
-        t_raw = float(t_raw)
-        y = float(y)
+        try:
+            t_raw = float(t_raw)
+            y = float(y)
+        except (TypeError, ValueError, OverflowError):
+            raise InvalidInputError("time and measurement must be finite numbers, "
+                                    f"got {describe(t_raw)} and {describe(y)}") from None
         if not (math.isfinite(t_raw) and math.isfinite(y)):
             raise InvalidInputError("time and measurement must be finite")
         if t_raw <= self.last_time_:
@@ -203,11 +218,8 @@ class StreamingFilter:
     def _begin(self, times, measurements):
         """Check the hyperparameters and the trace, and fit on its first
         ``init_window`` samples; returns the trace as float arrays."""
-        times = np.asarray(times, dtype=float)
-        measurements = np.asarray(measurements, dtype=float)
+        times, measurements = _as_trace(times, measurements)
         self._validate_params()
-        if times.shape != measurements.shape:
-            raise InvalidInputError("times and measurements must match in length")
         n0 = self.init_window
         if len(times) < n0:
             raise InvalidInputError(

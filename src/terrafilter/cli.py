@@ -31,8 +31,6 @@ def _build_parser():
     p_run = sub.add_parser("run", help="run an experiment matrix")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config and env)")
-    p_run.add_argument("--seed-override", type=int,
-                       help="replace the config's seed list with one seed")
     p_run.add_argument("--no-traces", action="store_true",
                        help="skip per-cell trace and figure files")
 
@@ -47,8 +45,6 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.seed_override is not None:
-        config.seeds = [args.seed_override]
     if args.no_traces:
         config.emit_traces = False
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir

@@ -32,13 +32,6 @@ def _floats(name, value, count):
     return values
 
 
-def _check_ranging(lidar_distance, lidar_std, gimbal_std):
-    if lidar_distance <= 0:
-        raise InvalidInputError("lidar_distance must be positive")
-    if lidar_std < 0 or gimbal_std < 0:
-        raise InvalidInputError("noise standard deviations must be non-negative")
-
-
 @dataclass(frozen=True)
 class WaypointGeometry:
     """One ranging configuration: gimbal pitch/yaw, slant distance,
@@ -53,7 +46,16 @@ class WaypointGeometry:
 
     def __post_init__(self):
         check_numbers(self)
-        _check_ranging(self.lidar_distance, self.lidar_std, self.gimbal_std)
+        if self.lidar_distance <= 0:
+            raise InvalidInputError("lidar_distance must be positive")
+        if self.lidar_std < 0 or self.gimbal_std < 0:
+            raise InvalidInputError("noise standard deviations must be non-negative")
+
+
+def _require_geometry(geom):
+    if not isinstance(geom, WaypointGeometry):
+        raise InvalidInputError(
+            f"geom must be a WaypointGeometry, got {type(geom).__name__}")
 
 
 def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
@@ -65,6 +67,7 @@ def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
         y' = y + h cos(phi + v_phi) sin(psi)
         z' = z + h - (d + v_d) sin(phi + v_phi)
     """
+    _require_geometry(geom)
     x, y, z = _floats("current", current, 3)
     v_d, v_phi = _floats("noise", noise, 2)
     pitch = geom.pitch + v_phi
@@ -79,34 +82,18 @@ def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
     return waypoint
 
 
-def vertical_recursion(z_prev: float, clearance: float, lidar_distance: float,
-                       pitch: float, v_d: float = 0.0, v_phi: float = 0.0) -> float:
-    """Vertical-only form of the waypoint step:
-    z' = z + h - (d + v_d) sin(phi + v_phi)."""
-    _require_finite(z_prev=z_prev, clearance=clearance, lidar_distance=lidar_distance,
-                    pitch=pitch, v_d=v_d, v_phi=v_phi)
-    _require_finite(noisy_pitch=pitch + v_phi)
-    z_next = float(z_prev) + clearance - (lidar_distance + v_d) * math.sin(pitch + v_phi)
-    _require_finite(z_next=z_next)
-    return z_next
-
-
-def waypoint_std(lidar_distance: float, pitch: float,
-                 lidar_std: float, gimbal_std: float) -> float:
+def waypoint_std(geom: WaypointGeometry) -> float:
     """First-order standard deviation of the vertical waypoint increment:
 
         sigma_dz = sqrt(sin^2(phi) sigma_lidar^2 + d^2 cos^2(phi) sigma_gimbal^2)
 
     At phi = pi/2 only the rangefinder matters; at phi = 0 only the gimbal
-    does, amplified by the slant distance.
+    does, amplified by the slant distance. Reads the geometry's
+    ``lidar_distance``, ``pitch``, ``lidar_std`` and ``gimbal_std``.
     """
-    _require_finite(lidar_distance=lidar_distance, pitch=pitch,
-                    lidar_std=lidar_std, gimbal_std=gimbal_std)
-    _check_ranging(lidar_distance, lidar_std, gimbal_std)
-    s, c = math.sin(pitch), math.cos(pitch)
-    std = math.sqrt(
-        s * s * lidar_std * lidar_std
-        + lidar_distance * lidar_distance * c * c * gimbal_std * gimbal_std
-    )
+    _require_geometry(geom)
+    d, s_l, s_g = geom.lidar_distance, geom.lidar_std, geom.gimbal_std
+    s, c = math.sin(geom.pitch), math.cos(geom.pitch)
+    std = math.sqrt(s * s * s_l * s_l + d * d * c * c * s_g * s_g)
     _require_finite(waypoint_std=std)
     return std

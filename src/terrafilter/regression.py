@@ -6,6 +6,7 @@ construction and batch initialization.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,8 +54,14 @@ def batch_least_squares(taus, ys, degree: int) -> BatchFit:
 
     Solves via SVD (rank revealing); the normal-equation inverse is never
     materialized. Residual variance uses the degrees-of-freedom denominator
-    M = n - degree - 1.
+    M = n - degree - 1. ``degree`` is a non-negative integer other than a
+    bool.
     """
+    from .base import describe  # base imports this module
+
+    if isinstance(degree, bool) or not isinstance(degree, numbers.Integral) or degree < 0:
+        raise InvalidInputError(
+            f"degree must be a non-negative integer, got {describe(degree)}")
     taus = np.asarray(taus, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if taus.ndim != 1 or taus.shape != ys.shape:
@@ -65,7 +72,7 @@ def batch_least_squares(taus, ys, degree: int) -> BatchFit:
     dof = n - degree - 1
     if dof < 1:
         raise InsufficientDataError(
-            f"need at least degree + 2 = {degree + 2} samples, got {n}"
+            f"need at least degree + 2 = {describe(degree + 2)} samples, got {n}"
         )
 
     with np.errstate(over="ignore"):  # an overflow is rejected just below

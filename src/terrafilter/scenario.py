@@ -38,8 +38,14 @@ class TerrainParams:
 
 
 def terrain_height(t, params: TerrainParams = TerrainParams()):
-    """Evaluate the terrain profile at time(s) t."""
-    t = np.asarray(t, dtype=float)
+    """Evaluate the terrain profile at time(s) t, which must be finite."""
+    try:
+        t = np.asarray(t, dtype=float)
+        finite = np.isfinite(t).all()
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise InvalidInputError("t must be finite numbers")
     envelope = params.amplitude * np.exp(
         -((t - params.center) ** 2) / (2.0 * params.envelope_sigma**2)
     )

@@ -15,7 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from terrafilter import (RvmRls, ScenarioConfig, StaticRls,
+from terrafilter import (RvmRls, ScenarioConfig, StaticRls, WaypointGeometry,
                          batch_least_squares, synthesize,
                          variance_cost, waypoint_std)
 from terrafilter.bench import load_config, run_experiments
@@ -181,17 +181,22 @@ def test_criterion_08_uncertainty_propagation():
     rng = np.random.default_rng(12345)
     s_l, s_g = 0.05, 0.002
     n = 1_000_000
+
+    def analytic_std(d, phi):
+        return waypoint_std(WaypointGeometry(pitch=phi, yaw=0.0, lidar_distance=d,
+                                             clearance=0.0, lidar_std=s_l, gimbal_std=s_g))
+
     worst = 0.0
     for d in (10.0, 25.0, 50.0, 100.0):
         for phi in (0.1, 0.5, 1.0, math.pi / 2 - 0.1):
             v_d = rng.normal(0.0, s_l, n)
             v_phi = rng.normal(0.0, s_g, n)
             dz = -(d + v_d) * np.sin(phi + v_phi)
-            analytic = waypoint_std(d, phi, s_l, s_g)
+            analytic = analytic_std(d, phi)
             worst = max(worst, abs(analytic - float(dz.std())) / float(dz.std()))
     endpoint_ok = (
-        abs(waypoint_std(50.0, math.pi / 2, s_l, s_g) - s_l) < 1e-12
-        and abs(waypoint_std(50.0, 0.0, s_l, s_g) - 50.0 * s_g) < 1e-12
+        abs(analytic_std(50.0, math.pi / 2) - s_l) < 1e-12
+        and abs(analytic_std(50.0, 0.0) - 50.0 * s_g) < 1e-12
     )
     ok = worst < 0.02 and endpoint_ok
     _verdict(8, f"max MC relative error {worst:.4f}, endpoints exact={endpoint_ok}", ok)

@@ -315,6 +315,32 @@ class TestInterfaceUniformity:
             f.fit(trace.times[:n], trace.measurement[:n])
         assert not hasattr(f, "is_fitted_")
 
+    @pytest.mark.parametrize("times, measurements", [
+        (None, None), ("ab", "cd"), (["a"] * 100, [0.0] * 100),
+        ([10**400] * 100, [0.0] * 100),
+    ], ids=["None", "strings", "letters", "10**400"])
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_malformed_trace_rejected(self, make, times, measurements):
+        message = "times and measurements must be"
+        with pytest.raises(InvalidInputError, match=message):
+            make().fit(times, measurements)
+        with pytest.raises(InvalidInputError, match=message):
+            make().run(times, measurements)
+        outcomes = make().run_lockstep_detailed([times, times], [measurements, measurements])
+        assert [type(out) for out in outcomes] == [InvalidInputError] * 2
+        assert all(str(out).startswith(message) for out in outcomes)
+
+    @pytest.mark.parametrize("value", ["a", None, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_malformed_sample_rejected_by_step(self, make, value, benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        f = make().fit(trace.times[:100], trace.measurement[:100])
+        for t, y in [(value, 1.0), (trace.times[100], value)]:
+            with pytest.raises(InvalidInputError,
+                               match="time and measurement must be finite numbers"):
+                f.step(t, y)
+        assert f.last_time_ == trace.times[99]
+
     def test_one_prediction_per_post_init_sample(self, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
         for make in ALL_FILTERS:

@@ -456,11 +456,13 @@ class TestCli:
 
     def test_run_flags(self, tmp_path, capsys):
         code = main(["run", str(self._config_file(tmp_path)),
-                     "--out", str(tmp_path / "alt"),
-                     "--seed-override", "5", "--no-traces"])
+                     "--out", str(tmp_path / "alt"), "--no-traces"])
         assert code == 0
         reports = reports_from_csv((tmp_path / "alt" / "reports.csv").read_text())
-        assert {r.seed for r in reports} == {5}
+        assert {r.seed for r in reports} == {0}
+        assert not (tmp_path / "out").exists()
+        assert not (tmp_path / "alt" / "traces").exists()
+        assert not (tmp_path / "alt" / "figs").exists()
 
     def test_env_var_output_dir(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("TERRAFILTER_OUTPUT_DIR", str(tmp_path / "envout"))

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from terrafilter import (BootstrapParticleFilter, ConfigError, InvalidInputError, RvmRls,
                          ScenarioConfig, TerrainParams, TerraFilterError,
-                         WaypointGeometry, max_error, mse, next_waypoint, synthesize,
-                         variance_ratio, vertical_recursion, waypoint_std)
+                         WaypointGeometry, batch_least_squares, max_error, mse,
+                         next_waypoint, synthesize, variance_ratio, waypoint_std)
 from terrafilter.base import constructor_spec
 from terrafilter.bench import FILTER_KINDS, AlgorithmSpec, ExperimentConfig, load_config
 from terrafilter.metrics import (REPORT_FIELDS, aggregate_csv, render_tables,
@@ -51,15 +51,15 @@ GEOMETRY = WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.
      r"outlier_band must be finite, got \(<int of 5001 digits>, 30.0\)"),
     (lambda: BootstrapParticleFilter(particle_count=HUGE)._validate_params(),
      r"particle_count must lie in \[2, 1000000\], got <int of 5001 digits>"),
-    (lambda: vertical_recursion(HUGE, 20.0, 30.0, 0.5),
-     "z_prev must be finite, got <int of 5001 digits>"),
+    (lambda: batch_least_squares(np.arange(10.0), np.ones(10), HUGE),
+     r"need at least degree \+ 2 = <int of 5001 digits> samples, got 10"),
     (lambda: next_waypoint([0.0, HUGE - 1, 0.0], GEOMETRY),
      r"current must be 3 numbers, got \[0.0, <int of 5000 digits>, 0.0\]"),
     (lambda: ExperimentConfig(scenarios=[ScenarioConfig()], seeds=[0, -HUGE],
                               algorithms=[AlgorithmSpec(name="lms", kind="lms")]).validate(),
      r"seeds must be distinct and non-negative, got \[0, <int of 5001 digits>\]"),
 ], ids=["check_numbers-float", "check_numbers-negative", "sample_count", "check_numbers-tuple",
-        "particle_count", "require_finite", "floats-count", "config-seeds"])
+        "particle_count", "degree", "floats-count", "config-seeds"])
 def test_huge_integer_shown_by_digit_count(build, message):
     with pytest.raises(TerraFilterError, match=message):
         build()
@@ -85,15 +85,9 @@ def test_metrics(pairs, sigma2):
 
 
 @SUITE
-@given(args=st.tuples(ANY, ANY, ANY, ANY))
-def test_waypoint_std(args):
-    assert_fails_closed(waypoint_std, *args)
-
-
-@SUITE
-@given(args=st.tuples(ANY, ANY, ANY, ANY, ANY, ANY))
-def test_vertical_recursion(args):
-    assert_fails_closed(vertical_recursion, *args)
+@given(geometry=st.tuples(ANY, ANY, ANY, ANY, ANY, ANY))
+def test_waypoint_std(geometry):
+    assert_fails_closed(lambda: waypoint_std(WaypointGeometry(*geometry)))
 
 
 @SUITE

@@ -2,7 +2,7 @@
 exists, and names that were removed stay removed."""
 
 import terrafilter
-from terrafilter import exceptions, metrics
+from terrafilter import exceptions, geometry, metrics
 from terrafilter.base import StreamingFilter
 
 
@@ -14,9 +14,11 @@ def test_every_public_name_resolves():
 
 def test_removed_names_are_gone():
     # the lockstep has one entry point, run_lockstep_detailed, and the
-    # headline improvement is computed where it is used
+    # headline improvement is computed where it is used; next_waypoint's z
+    # line is the one vertical step
     for owner, name in [(metrics, "improvement"), (exceptions, "UndefinedRatioError"),
-                        (StreamingFilter, "run_lockstep")]:
+                        (StreamingFilter, "run_lockstep"),
+                        (geometry, "vertical_recursion")]:
         assert not hasattr(owner, name), name
         assert not hasattr(terrafilter, name), name
         assert name not in terrafilter.__all__

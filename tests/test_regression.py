@@ -87,6 +87,11 @@ class TestBatchLeastSquares:
         with pytest.raises(InvalidInputError):
             batch_least_squares([0.0, 1.0, np.nan, 3.0], np.ones(4), 1)
 
+    @pytest.mark.parametrize("degree", [-1, 2.5, True, np.float64(2.0), "2"])
+    def test_bad_degree_rejected(self, degree):
+        with pytest.raises(InvalidInputError, match="degree must be a non-negative integer"):
+            batch_least_squares(np.arange(10.0), np.ones(10), degree)
+
     def test_overflowing_basis_rejected(self):
         # finite times whose fourth power overflows: no LinAlgError, and no
         # numpy warning (the test suite turns RuntimeWarning into an error)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ class TestTerrainHeight:
     def test_param_validation(self):
         with pytest.raises(InvalidInputError):
             TerrainParams(envelope_sigma=0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "a", None,
+                                   pytest.param(10**400, id="10**400"), [0.0, math.nan]])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(InvalidInputError, match="t must be finite numbers"):
+            terrain_height(t)
 
     @pytest.mark.parametrize("name", ["amplitude", "center", "envelope_sigma",
                                       "omega", "phase"])
@@ -136,6 +143,14 @@ class TestSynthesize:
         with pytest.raises(InvalidInputError, match="terrain plus clearance overflows"):
             ScenarioConfig(sample_count=200, clean_prefix=100, clearance=1.7e308,
                            terrain=TerrainParams(**terrain))
+
+    def test_overflowing_terrain_message_names_its_cause(self):
+        # the README's example: the sample times are finite, so
+        # terrain_height's own check on t never hides the overflow's cause
+        message = ("terrain plus clearance overflows over the sample times "
+                   "(overflow encountered in multiply)")
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            ScenarioConfig(terrain=TerrainParams(omega=1e308))
 
     @pytest.mark.parametrize("fields", [
         dict(noise_variance=1e300, outlier_band=(-1e300, 1e300)),
