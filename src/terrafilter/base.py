@@ -16,7 +16,7 @@ import typing
 import numpy as np
 
 from .exceptions import InvalidInputError, NotFittedError, NumericalDivergenceError
-from .regression import batch_least_squares, poly_basis
+from .regression import MAX_DEGREE, _as_trace, batch_least_squares, poly_basis
 
 # Gain denominators below this are treated as a numerical collapse rather
 # than silently dividing.
@@ -27,8 +27,44 @@ GAIN_DENOMINATOR_FLOOR = 1e-12
 def constructor_spec(cls):
     """``(parameters, type hints)`` of the constructor of ``cls``, computed
     once per class: the parameters as ``inspect.signature(cls)`` lists them,
-    the hints as ``typing.get_type_hints(cls.__init__)`` resolves them."""
-    return inspect.signature(cls).parameters, typing.get_type_hints(cls.__init__)
+    the hints as ``typing.get_type_hints`` resolves them, rules included."""
+    return (inspect.signature(cls).parameters,
+            typing.get_type_hints(cls.__init__, include_extras=True))
+
+
+class Interval:
+    """A parameter's range, declared in its annotation, as ``Annotated[float,
+    Interval(0, 2, ends="()")]``; ``ends`` marks each end closed or open.
+    After scikit-learn's ``Interval`` (``sklearn/utils/_param_validation.py``)."""
+
+    verb = "lie in"
+
+    def __init__(self, low, high=math.inf, ends="[]"):
+        self.low, self.high, self.ends = low, high, ends
+
+    def __contains__(self, value):
+        return ((value >= self.low if self.ends[0] == "[" else value > self.low)
+                and (value <= self.high if self.ends[1] == "]" else value < self.high))
+
+    def __str__(self):  # an unbounded end is open
+        close = self.ends[1] if self.high < math.inf else ")"
+        return f"{self.ends[0]}{self.low}, {self.high}{close}"
+
+
+class OneOf(tuple):
+    """The values a parameter may take, declared like ``Interval``."""
+
+    verb = "be one of"
+
+    def __str__(self):
+        return ", ".join(map(repr, self))
+
+
+Positive = typing.Annotated[float, Interval(0, ends="()")]
+NonNegative = typing.Annotated[float, Interval(0)]
+Seed = typing.Annotated[int, Interval(0)]
+Degree = typing.Annotated[int, Interval(0, MAX_DEGREE)]
+CovarianceInit = typing.Annotated[str, OneOf(("residual", "gram"))]
 
 
 def is_finite_number(value) -> bool:
@@ -60,44 +96,39 @@ def describe(value) -> str:
         return f"<{type(value).__name__} of {digits} digits>"
 
 
+def require_type(name, value, cls):
+    """Raise an InvalidInputError naming ``name`` unless ``value`` is a ``cls``."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+
+
 def check_numbers(obj):
-    """Check the numeric fields of ``obj`` by the annotations of its
-    constructor: an ``int`` holds an integer other than a bool, a ``float``
-    (``float | None``: None, or) a number that ``is_finite_number`` takes,
-    and a ``tuple`` of floats such entries, as many as it declares. Raises
-    an InvalidInputError naming the first field that does not."""
+    """Check the fields of ``obj`` by the annotations of its constructor: an
+    ``int`` holds an integer other than a bool, a ``float`` (``float |
+    None``: None, or) a number that ``is_finite_number`` takes, a ``tuple``
+    of floats such entries, as many as it declares, and ``Annotated[T,
+    *rules]`` a ``T`` in each rule. Raises an InvalidInputError naming the
+    first field that does not, as in ``mu must lie in (0, 2), got 5``."""
     params, hints = constructor_spec(type(obj))
     for name in params:
         tp, value = hints.get(name), getattr(obj, name)
         if typing.get_origin(tp) in (types.UnionType, typing.Union):  # ``T | None``
             tp = None if value is None else typing.get_args(tp)[0]
+        tp, *rules = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp,)
         args = typing.get_args(tp)
-        if tp is int:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise InvalidInputError(f"{name} must be an integer, got {describe(value)}")
-        elif tp is float:
-            if not is_finite_number(value):
-                raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
-        elif typing.get_origin(tp) is tuple and args[0] is float:
+        if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+            raise InvalidInputError(f"{name} must be an integer, got {describe(value)}")
+        if tp is float and not is_finite_number(value):
+            raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
+        if typing.get_origin(tp) is tuple and args[0] is float:
             if not (isinstance(value, tuple) and len(value) == len(args)):
                 raise InvalidInputError(
                     f"{name} must be {len(args)} numbers, got {describe(value)}")
             if not all(map(is_finite_number, value)):
                 raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
-
-
-def _as_trace(times, measurements):
-    """``times`` and ``measurements`` as 1-D float arrays of equal shape;
-    anything else, values numpy cannot convert to floats included, is an
-    InvalidInputError."""
-    try:
-        times = np.asarray(times, dtype=float)
-        measurements = np.asarray(measurements, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"times and measurements must be numbers ({exc})") from None
-    if times.ndim != 1 or times.shape != measurements.shape:
-        raise InvalidInputError("times and measurements must be 1-D and match in length")
-    return times, measurements
+        for rule in rules:
+            if value not in rule:
+                raise InvalidInputError(f"{name} must {rule.verb} {rule}, got {describe(value)}")
 
 
 def all_finite(x: np.ndarray) -> bool:
@@ -149,16 +180,12 @@ class StreamingFilter:
             raise NotFittedError(f"{type(self).__name__} has not been fitted")
 
     def _validate_params(self):
-        """Check the hyperparameters: first each number by its annotation
-        (``check_numbers``), then each subclass chains its own checks onto
-        this. Every ``fit`` and ``run`` calls it, no step does."""
+        """Check the hyperparameters: each field by its annotation
+        (``check_numbers``), then the rules across fields, which subclasses
+        extend. Every ``fit`` and ``run`` calls it, no step does."""
         check_numbers(self)
-        if self.degree < 0 or self.init_window < self.degree + 2:
+        if self.init_window < self.degree + 2:
             raise InvalidInputError("init_window must be at least degree + 2")
-        if not self.scale_divisor > 0:
-            raise InvalidInputError(
-                f"scale_divisor must be a positive finite number, got {self.scale_divisor!r}"
-            )
 
     def fit(self, times, measurements):
         """Check the hyperparameters and a window of exactly ``init_window``
@@ -188,6 +215,8 @@ class StreamingFilter:
 
     def _advance_clock(self, t_raw: float, y: float):
         try:
+            if isinstance(t_raw, (str, bytes)) or isinstance(y, (str, bytes)):
+                raise TypeError  # float() would parse "1" and b"1"
             t_raw = float(t_raw)
             y = float(y)
         except (TypeError, ValueError, OverflowError):
@@ -276,7 +305,13 @@ class StreamingFilter:
         which alone decides and words a failure. So do a single trace and
         every trace of a filter without a lockstep step (the particle filter).
         """
-        if len(times_list) != len(measurements_list):
+        try:
+            mismatch = len(times_list) != len(measurements_list)
+        except TypeError:
+            raise InvalidInputError(
+                "times_list and measurements_list must be sequences, got "
+                f"{type(times_list).__name__} and {type(measurements_list).__name__}") from None
+        if mismatch:
             raise InvalidInputError("times_list and measurements_list must match in length")
         traces = list(zip(times_list, measurements_list))
         # numpy's floating-point warnings stay off: a guard marks a row's
@@ -392,12 +427,6 @@ class ForgettingFactorCore(StreamingFilter):
 
     but survives condition numbers whose explicit-P form loses to roundoff.
     """
-
-    def _validate_params(self):
-        super()._validate_params()
-        if self.covariance_init not in ("residual", "gram"):
-            raise InvalidInputError("covariance_init must be 'residual' or 'gram', "
-                                    f"got {self.covariance_init!r}")
 
     def _init_state(self, fit, taus):
         super()._init_state(fit, taus)

@@ -7,10 +7,12 @@ adaptive filter over identical traces.
 """
 
 import math
+from typing import Annotated
 
 import numpy as np
 
-from .base import ForgettingFactorCore, StreamingFilter, all_finite, describe
+from .base import (CovarianceInit, Degree, ForgettingFactorCore, Interval, NonNegative,
+                   Positive, Seed, StreamingFilter, all_finite)
 from .exceptions import InvalidInputError, NumericalDivergenceError
 # batch_least_squares stays a module global here: perfbench's tracer patches it
 from .regression import batch_least_squares, poly_basis  # noqa: F401
@@ -18,6 +20,7 @@ from .regression import batch_least_squares, poly_basis  # noqa: F401
 # The most particles a particle filter may hold: 2,000 times the default
 # 500. ``fit`` builds them as a list, and each step loops over them.
 MAX_PARTICLE_COUNT = 1_000_000
+UnitFraction = Annotated[float, Interval(0, 1, ends="(]")]
 
 
 class NormalizedLms(StreamingFilter):
@@ -31,20 +34,13 @@ class NormalizedLms(StreamingFilter):
     powers of scaled time).
     """
 
-    def __init__(self, degree: int = 0, mu: float = 0.3, eps: float = 1e-8,
-                 init_window: int = 100, scale_divisor: float = 100.0):
+    def __init__(self, degree: Degree = 0, mu: Annotated[float, Interval(0, 2, ends="()")] = 0.3,
+                 eps: Positive = 1e-8, init_window: int = 100, scale_divisor: Positive = 100.0):
         self.degree = degree
         self.mu = mu
         self.eps = eps
         self.init_window = init_window
         self.scale_divisor = scale_divisor
-
-    def _validate_params(self):
-        super()._validate_params()
-        if not (0.0 < self.mu < 2.0):
-            raise InvalidInputError(f"mu must lie in (0, 2), got {self.mu!r}")
-        if not self.eps > 0:
-            raise InvalidInputError(f"eps must be finite and positive, got {self.eps!r}")
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -70,19 +66,14 @@ class StaticRls(ForgettingFactorCore):
     least squares.
     """
 
-    def __init__(self, forgetting: float = 0.96, degree: int = 4,
-                 init_window: int = 100, scale_divisor: float = 100.0,
-                 covariance_init: str = "gram"):
+    def __init__(self, forgetting: UnitFraction = 0.96, degree: Degree = 4,
+                 init_window: int = 100, scale_divisor: Positive = 100.0,
+                 covariance_init: CovarianceInit = "gram"):
         self.forgetting = forgetting
         self.degree = degree
         self.init_window = init_window
         self.scale_divisor = scale_divisor
         self.covariance_init = covariance_init
-
-    def _validate_params(self):
-        super()._validate_params()
-        if not (0.0 < self.forgetting <= 1.0):
-            raise InvalidInputError("forgetting must lie in (0, 1]")
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -112,8 +103,8 @@ class GvffRls(ForgettingFactorCore):
 
     def __init__(self, alpha: float = 1e-3, lambda_min: float = 0.85,
                  lambda_max: float = 0.95, lambda_init: float = 0.90,
-                 degree: int = 4, init_window: int = 100,
-                 scale_divisor: float = 100.0, covariance_init: str = "gram"):
+                 degree: Degree = 4, init_window: int = 100,
+                 scale_divisor: Positive = 100.0, covariance_init: CovarianceInit = "gram"):
         self.alpha = alpha
         self.lambda_min = lambda_min
         self.lambda_max = lambda_max
@@ -188,10 +179,10 @@ class BootstrapParticleFilter(StreamingFilter):
     point of this baseline, not a target for optimization.
     """
 
-    def __init__(self, particle_count: int = 500, process_std: float = 0.09,
-                 measurement_std: float = 0.3, resample_threshold: float = 0.5,
-                 seed: int = 0, degree: int = 4, init_window: int = 100,
-                 scale_divisor: float = 100.0):
+    def __init__(self, particle_count: Annotated[int, Interval(2, MAX_PARTICLE_COUNT)] = 500,
+                 process_std: NonNegative = 0.09, measurement_std: Positive = 0.3,
+                 resample_threshold: UnitFraction = 0.5, seed: Seed = 0,
+                 degree: Degree = 4, init_window: int = 100, scale_divisor: Positive = 100.0):
         self.particle_count = particle_count
         self.process_std = process_std
         self.measurement_std = measurement_std
@@ -203,18 +194,14 @@ class BootstrapParticleFilter(StreamingFilter):
 
     def _validate_params(self):
         super()._validate_params()
-        if not 2 <= self.particle_count <= MAX_PARTICLE_COUNT:
-            raise InvalidInputError(f"particle_count must lie in [2, {MAX_PARTICLE_COUNT}], "
-                                    f"got {describe(self.particle_count)}")
-        if self.seed < 0:
-            raise InvalidInputError(f"seed must be >= 0, got {describe(self.seed)}")
         r2 = self.measurement_std * self.measurement_std
-        if not (self.process_std >= 0 and self.measurement_std > 0
-                and r2 > 0 and math.isfinite(0.5 / r2)):
-            raise InvalidInputError("process_std must be >= 0, and measurement_std > 0 "
-                                    "with 0.5 / measurement_std**2 finite")
-        if not (0.0 < self.resample_threshold <= 1.0):
-            raise InvalidInputError("resample_threshold must lie in (0, 1]")
+        try:
+            finite = r2 > 0 and math.isfinite(0.5 / r2)
+        except OverflowError:  # an integer whose square is beyond the float range
+            finite = False
+        if not finite:
+            raise InvalidInputError("0.5 / measurement_std**2 must be finite, "
+                                    f"got measurement_std={self.measurement_std!r}")
 
     def _init_state(self, fit, taus):
         # no theta_: the particles start around the fit's last window value

@@ -143,6 +143,7 @@ def _build(value, tp, path: str):
     float), a bool, str or dict only its own type, and a class (a dataclass
     or a filter) an object of its constructor's parameters, each typed by
     its annotation. A mismatch is a ConfigError naming the path."""
+    tp = typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Annotated else tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # ``T | None``
         return None if value is None else _build(value, args[0], path)

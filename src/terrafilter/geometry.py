@@ -9,7 +9,8 @@ terrain-following accuracy, so its uncertainty gets a closed form.
 import math
 from dataclasses import dataclass
 
-from .base import check_numbers, describe, is_finite_number
+from .base import (NonNegative, Positive, check_numbers, describe, is_finite_number,
+                   require_type)
 from .exceptions import InvalidInputError
 
 
@@ -39,23 +40,12 @@ class WaypointGeometry:
 
     pitch: float
     yaw: float
-    lidar_distance: float
+    lidar_distance: Positive
     clearance: float
-    lidar_std: float = 0.0
-    gimbal_std: float = 0.0
+    lidar_std: NonNegative = 0.0
+    gimbal_std: NonNegative = 0.0
 
-    def __post_init__(self):
-        check_numbers(self)
-        if self.lidar_distance <= 0:
-            raise InvalidInputError("lidar_distance must be positive")
-        if self.lidar_std < 0 or self.gimbal_std < 0:
-            raise InvalidInputError("noise standard deviations must be non-negative")
-
-
-def _require_geometry(geom):
-    if not isinstance(geom, WaypointGeometry):
-        raise InvalidInputError(
-            f"geom must be a WaypointGeometry, got {type(geom).__name__}")
+    __post_init__ = check_numbers
 
 
 def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
@@ -67,7 +57,7 @@ def next_waypoint(current, geom: WaypointGeometry, noise=(0.0, 0.0)):
         y' = y + h cos(phi + v_phi) sin(psi)
         z' = z + h - (d + v_d) sin(phi + v_phi)
     """
-    _require_geometry(geom)
+    require_type("geom", geom, WaypointGeometry)
     x, y, z = _floats("current", current, 3)
     v_d, v_phi = _floats("noise", noise, 2)
     pitch = geom.pitch + v_phi
@@ -91,7 +81,7 @@ def waypoint_std(geom: WaypointGeometry) -> float:
     does, amplified by the slant distance. Reads the geometry's
     ``lidar_distance``, ``pitch``, ``lidar_std`` and ``gimbal_std``.
     """
-    _require_geometry(geom)
+    require_type("geom", geom, WaypointGeometry)
     d, s_l, s_g = geom.lidar_distance, geom.lidar_std, geom.gimbal_std
     s, c = math.sin(geom.pitch), math.cos(geom.pitch)
     std = math.sqrt(s * s * s_l * s_l + d * d * c * c * s_g * s_g)

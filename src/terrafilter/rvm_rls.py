@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import ForgettingFactorCore
+from .base import CovarianceInit, Degree, ForgettingFactorCore, Positive
 from .exceptions import InvalidInputError
 
 
@@ -92,12 +92,12 @@ class RvmRls(ForgettingFactorCore):
     A gated sample leaves the whole state untouched (see README).
     """
 
-    def __init__(self, degree: int = 4, step_size: float = 1e-3,
-                 cost_gain: float = 20.0, lambda_min: float = 0.85,
+    def __init__(self, degree: Degree = 4, step_size: Positive = 1e-3,
+                 cost_gain: Positive = 20.0, lambda_min: float = 0.85,
                  lambda_max: float = 0.95, lambda_init: float = 0.90,
-                 target_noise_variance: float | None = None,
-                 init_window: int = 100, scale_divisor: float = 100.0,
-                 outlier_gate: bool = True, covariance_init: str = "residual"):
+                 target_noise_variance: Positive | None = None,
+                 init_window: int = 100, scale_divisor: Positive = 100.0,
+                 outlier_gate: bool = True, covariance_init: CovarianceInit = "residual"):
         self.degree = degree
         self.step_size = step_size
         self.cost_gain = cost_gain
@@ -114,13 +114,6 @@ class RvmRls(ForgettingFactorCore):
         super()._validate_params()
         if not (0.0 < self.lambda_min <= self.lambda_max <= 1.0):
             raise InvalidInputError("need 0 < lambda_min <= lambda_max <= 1")
-        for name in ("step_size", "cost_gain", "target_noise_variance"):
-            value = getattr(self, name)
-            if value is None and name == "target_noise_variance":
-                continue
-            if not value > 0:
-                raise InvalidInputError(
-                    f"{name} must be a positive finite number, got {value!r}")
 
     def _init_state(self, fit, taus):
         """theta and the covariance factor from the window fit, the

@@ -6,11 +6,14 @@ measurements corrupted by a configurable fraction of impulsive outliers.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from typing import Annotated
 
 import numpy as np
 
-from .base import check_numbers, describe
+from .base import (Interval, NonNegative, Positive, Seed, check_numbers, describe,
+                   require_type)
 from .exceptions import InvalidInputError
 
 TRACE_HEADER = ["t", "H", "p", "z", "outlier"]
@@ -27,14 +30,11 @@ class TerrainParams:
 
     amplitude: float = 10.0
     center: float = 1000.0
-    envelope_sigma: float = 400.0
+    envelope_sigma: Positive = 400.0
     omega: float = 0.025
     phase: float = 0.0
 
-    def __post_init__(self):
-        check_numbers(self)
-        if self.envelope_sigma <= 0:
-            raise InvalidInputError("envelope_sigma must be positive")
+    __post_init__ = check_numbers
 
 
 def terrain_height(t, params: TerrainParams = TerrainParams()):
@@ -65,30 +65,23 @@ class ScenarioConfig:
     """
 
     name: str = "terrain"
-    sample_count: int = 2000
+    sample_count: Annotated[int, Interval(1, MAX_SAMPLE_COUNT)] = 2000
     clearance: float = 20.0
-    noise_variance: float = 0.09
-    outlier_fraction: float = 0.10
+    noise_variance: NonNegative = 0.09
+    outlier_fraction: Annotated[float, Interval(0, 1)] = 0.10
     outlier_band: tuple[float, float] = (-30.0, 30.0)
-    clean_prefix: int = 100
-    seed: int = 0
+    clean_prefix: Annotated[int, Interval(0)] = 100
+    seed: Seed = 0
     terrain: TerrainParams = field(default_factory=TerrainParams)
 
     def __post_init__(self):
         check_numbers(self)
-        if not 0 < self.sample_count <= MAX_SAMPLE_COUNT:
-            raise InvalidInputError(f"sample_count must lie in [1, {MAX_SAMPLE_COUNT}], "
-                                    f"got {describe(self.sample_count)}")
-        if self.noise_variance < 0:
-            raise InvalidInputError("noise_variance must be non-negative")
-        if not (0.0 <= self.outlier_fraction <= 1.0):
-            raise InvalidInputError("outlier_fraction must lie in [0, 1]")
         lo, hi = self.outlier_band
         if self.outlier_fraction > 0 and max(abs(lo), abs(hi)) <= 3.0:
             raise InvalidInputError(
                 "outlier_band must extend beyond 3 sigma to hold genuine outliers"
             )
-        if not (0 <= self.clean_prefix < self.sample_count):
+        if self.clean_prefix >= self.sample_count:
             raise InvalidInputError("clean_prefix must lie in [0, sample_count)")
         outliers = round(self.outlier_fraction * self.sample_count)
         if outliers > self.sample_count - self.clean_prefix:
@@ -97,8 +90,6 @@ class ScenarioConfig:
         if outliers > 0 and self.noise_variance == 0:
             raise InvalidInputError("noise_variance must be positive when outliers are "
                                     "injected: their amplitudes scale with the noise")
-        if self.seed < 0:
-            raise InvalidInputError("seed must be non-negative")
         # synthesize repeats this evaluation, which must stay finite
         try:
             with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -144,6 +135,7 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
     two configs differing only in outlier_fraction share the same noise
     realization sample for sample.
     """
+    require_type("config", config, ScenarioConfig)
     n = config.sample_count
     noise_rng, outlier_rng = (
         np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(2)
@@ -192,7 +184,11 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
 def write_columns(path, header, columns) -> None:
     """Write equal-length 1-D columns as comma-separated text: the header
     line, then one line per row. Integer and boolean columns print as
-    integers, the rest at full double precision (``%.17g``)."""
+    integers, the rest at full double precision (``%.17g``). ``path`` is a
+    file path: ``open`` would take an integer as a file descriptor and close
+    it."""
+    if isinstance(path, numbers.Integral):
+        raise InvalidInputError(f"path must be a file path, got {describe(path)}")
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
                    for c in columns) + "\n"
@@ -203,6 +199,7 @@ def write_columns(path, header, columns) -> None:
 
 
 def write_trace_csv(trace: ScenarioTrace, path) -> None:
+    require_type("trace", trace, ScenarioTrace)
     write_columns(path, TRACE_HEADER, [trace.times, trace.terrain,
                                        trace.reference, trace.measurement,
                                        trace.outlier_mask])

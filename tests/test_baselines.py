@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -251,7 +252,9 @@ class TestBootstrapParticleFilter:
                 np.arange(30.0), np.zeros(30))
         for bad in ({"particle_count": 100.0}, {"process_std": np.nan},
                     {"process_std": np.inf}, {"measurement_std": np.nan},
-                    {"measurement_std": np.inf}):
+                    {"measurement_std": np.inf},
+                    # a finite integer whose square is beyond the float range
+                    {"measurement_std": 10**300}):
             with pytest.raises(InvalidInputError, match=next(iter(bad))):
                 BootstrapParticleFilter(**bad).fit(np.arange(100.0), np.zeros(100))
 
@@ -267,7 +270,7 @@ class TestBootstrapParticleFilter:
                              ids=["-1", "-10**5000"])
     def test_negative_seed_rejected(self, seed, shown, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
-        message = f"seed must be >= 0, got {shown}"
+        message = re.escape(f"seed must lie in [0, inf), got {shown}")
         with pytest.raises(InvalidInputError, match=message):
             BootstrapParticleFilter(seed=seed).fit(np.arange(100.0), np.zeros(100))
         with pytest.raises(InvalidInputError, match=message):
@@ -315,10 +318,14 @@ class TestInterfaceUniformity:
             f.fit(trace.times[:n], trace.measurement[:n])
         assert not hasattr(f, "is_fitted_")
 
+    # numpy would parse digit strings and bytes as numbers
     @pytest.mark.parametrize("times, measurements", [
         (None, None), ("ab", "cd"), (["a"] * 100, [0.0] * 100),
         ([10**400] * 100, [0.0] * 100),
-    ], ids=["None", "strings", "letters", "10**400"])
+        ([str(v) for v in range(100)], ["0"] * 100),
+        ([str(v).encode() for v in range(100)], [0.0] * 100),
+        (list(range(100)), [0.0] * 99 + ["0"]),
+    ], ids=["None", "strings", "letters", "10**400", "digit_strings", "bytes", "one_string"])
     @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
     def test_malformed_trace_rejected(self, make, times, measurements):
         message = "times and measurements must be"
@@ -330,7 +337,9 @@ class TestInterfaceUniformity:
         assert [type(out) for out in outcomes] == [InvalidInputError] * 2
         assert all(str(out).startswith(message) for out in outcomes)
 
-    @pytest.mark.parametrize("value", ["a", None, pytest.param(10**400, id="10**400")])
+    @pytest.mark.parametrize("value", ["a", None, pytest.param(10**400, id="10**400"),
+                                       pytest.param("100.5", id="digits"),
+                                       pytest.param(b"1", id="bytes")])
     @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
     def test_malformed_sample_rejected_by_step(self, make, value, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
@@ -340,6 +349,12 @@ class TestInterfaceUniformity:
                                match="time and measurement must be finite numbers"):
                 f.step(t, y)
         assert f.last_time_ == trace.times[99]
+
+    @pytest.mark.parametrize("value", [None, 5], ids=["None", "5"])
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_lockstep_needs_sequences(self, make, value):
+        with pytest.raises(InvalidInputError, match="must be sequences"):
+            make().run_lockstep_detailed(value, value)
 
     def test_one_prediction_per_post_init_sample(self, benchmark_trace_outliers):
         trace = benchmark_trace_outliers

@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 from dataclasses import asdict
 
 import pytest
@@ -390,6 +391,16 @@ class TestConfigFiles:
             load_config(self._dump(tmp_path, payload))
         assert f"config.algorithms[{index}].params" in str(err.value)
         assert name in str(err.value)
+
+    def test_degree_above_max_rejected_at_load(self, tmp_path):
+        # each cell would build a 999,002 x 999,001 design matrix, about 8 TB
+        payload = self._payload()
+        payload["scenarios"][0]["sample_count"] = 1_000_000
+        payload["algorithms"] = [{"name": "rls", "kind": "rls",
+                                  "params": {"degree": 999000, "init_window": 999002}}]
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.algorithms[0].params: degree must lie in [0, 10], got 999000")):
+            load_config(self._dump(tmp_path, payload))
 
     def test_duplicate_names_rejected(self, tmp_path):
         payload = self._payload()

@@ -9,8 +9,10 @@ fails here too.
 import csv
 import io
 import json
+import math
 import os
 import tempfile
+import typing
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from terrafilter import (BootstrapParticleFilter, ConfigError, InvalidInputError
                          ScenarioConfig, TerrainParams, TerraFilterError,
                          WaypointGeometry, batch_least_squares, max_error, mse,
                          next_waypoint, synthesize, variance_ratio, waypoint_std)
-from terrafilter.base import constructor_spec
+from terrafilter.base import Interval, OneOf, StreamingFilter, constructor_spec
 from terrafilter.bench import FILTER_KINDS, AlgorithmSpec, ExperimentConfig, load_config
 from terrafilter.metrics import (REPORT_FIELDS, aggregate_csv, render_tables,
                                  reports_from_csv)
@@ -52,7 +54,7 @@ GEOMETRY = WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.
     (lambda: BootstrapParticleFilter(particle_count=HUGE)._validate_params(),
      r"particle_count must lie in \[2, 1000000\], got <int of 5001 digits>"),
     (lambda: batch_least_squares(np.arange(10.0), np.ones(10), HUGE),
-     r"need at least degree \+ 2 = <int of 5001 digits> samples, got 10"),
+     r"degree must lie in \[0, 10\], got <int of 5001 digits>"),
     (lambda: next_waypoint([0.0, HUGE - 1, 0.0], GEOMETRY),
      r"current must be 3 numbers, got \[0.0, <int of 5000 digits>, 0.0\]"),
     (lambda: ExperimentConfig(scenarios=[ScenarioConfig()], seeds=[0, -HUGE],
@@ -63,6 +65,72 @@ GEOMETRY = WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.
 def test_huge_integer_shown_by_digit_count(build, message):
     with pytest.raises(TerraFilterError, match=message):
         build()
+
+
+# Every class whose constructor declares rules in its annotations, with the
+# arguments it needs besides: with no outliers, noise_variance 0 and any
+# sample_count are allowed, and with clean_prefix 0 outlier_fraction 1 is.
+DECLARING = {**{cls: {} for cls in FILTER_KINDS.values()}, TerrainParams: {},
+             ScenarioConfig: {"outlier_fraction": 0.0, "clean_prefix": 0},
+             WaypointGeometry: {"pitch": 0.1, "yaw": 0.0, "lidar_distance": 1.0,
+                                "clearance": 5.0}}
+
+
+def _declared_cases():
+    """``(class, field, value, verb or None when accepted)``, read from the
+    annotations: each finite end of an ``Interval``, accepted if closed, and
+    each value of a ``OneOf``, and the empty string, which none holds."""
+    for cls in DECLARING:
+        for name, tp in typing.get_type_hints(cls.__init__, include_extras=True).items():
+            for rule in (rule for arg in (tp, *typing.get_args(tp))  # ``T | None``
+                         for rule in getattr(arg, "__metadata__", ())):
+                if isinstance(rule, Interval):
+                    cases = [(end, None if bracket in "[]" else rule.verb)
+                             for end, bracket in zip((rule.low, rule.high), rule.ends)
+                             if math.isfinite(end)]
+                else:
+                    assert isinstance(rule, OneOf) and "" not in rule, rule
+                    cases = [(value, None) for value in rule] + [("", rule.verb)]
+                for value, verb in cases:
+                    yield pytest.param(cls, name, value, verb,
+                                       id=f"{cls.__name__}.{name}={value!r}")
+
+
+DECLARED_CASES = list(_declared_cases())
+
+
+def _build(cls, **params):
+    built = cls(**{**DECLARING[cls], **params})
+    if isinstance(built, StreamingFilter):
+        built._validate_params()
+
+
+@pytest.mark.parametrize("cls, name, value, verb", DECLARED_CASES)
+def test_declared_rule_at_its_ends(cls, name, value, verb):
+    if verb is None:
+        _build(cls, **{name: value})
+    else:
+        with pytest.raises(InvalidInputError, match=rf"^{name} must {verb} "):
+            _build(cls, **{name: value})
+
+
+# the particle filter is seeded with each cell's trace seed, and a config
+# takes no seed for it
+@pytest.mark.parametrize("cls, name, value, verb", [
+    case for case in DECLARED_CASES if issubclass(case.values[0], StreamingFilter)
+    and case.values[:2] != (BootstrapParticleFilter, "seed")])
+def test_declared_rule_at_its_ends_through_load_config(cls, name, value, verb, tmp_path):
+    kind = next(kind for kind, kind_cls in FILTER_KINDS.items() if kind_cls is cls)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({
+        "version": 1, "seeds": [0], "scenarios": [{"name": "s"}],
+        "algorithms": [{"name": "a", "kind": kind, "params": {name: value}}]}))
+    if verb is None:
+        assert load_config(path).algorithms[0].params == {name: value}
+    else:
+        with pytest.raises(ConfigError,
+                           match=rf"^config\.algorithms\[0\]\.params: {name} must {verb} "):
+            load_config(path)
 
 
 def assert_fails_closed(fn, *args):

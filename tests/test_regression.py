@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +7,7 @@ from hypothesis import given, strategies as st
 from terrafilter import (InsufficientDataError, InvalidInputError,
                          SingularFitError, batch_least_squares, poly_basis,
                          terrain_height)
+from terrafilter.regression import MAX_DEGREE
 
 
 class TestPolyBasis:
@@ -22,6 +25,15 @@ class TestPolyBasis:
             poly_basis(np.nan, 3)
         with pytest.raises(InvalidInputError):
             poly_basis(1.0, -1)
+
+    # poly_basis loops degree times, so 10**400 must fail before the loop
+    @pytest.mark.parametrize("degree", [MAX_DEGREE + 1, 10**400],
+                             ids=["MAX_DEGREE+1", "10**400"])
+    def test_degree_above_max_rejected(self, degree):
+        message = re.escape(f"degree must lie in [0, {MAX_DEGREE}], got")
+        with pytest.raises(InvalidInputError, match=message):
+            poly_basis(0.5, degree)
+        assert len(poly_basis(0.5, MAX_DEGREE)) == MAX_DEGREE + 1
 
     @given(st.floats(-50, 50), st.integers(1, 8))
     def test_entry_recursion(self, tau, m):
@@ -87,10 +99,25 @@ class TestBatchLeastSquares:
         with pytest.raises(InvalidInputError):
             batch_least_squares([0.0, 1.0, np.nan, 3.0], np.ones(4), 1)
 
-    @pytest.mark.parametrize("degree", [-1, 2.5, True, np.float64(2.0), "2"])
-    def test_bad_degree_rejected(self, degree):
-        with pytest.raises(InvalidInputError, match="degree must be a non-negative integer"):
+    @pytest.mark.parametrize("degree, message", [
+        (-1, "degree must lie in [0, 10], got -1"),
+        (2.5, "degree must be an integer, got 2.5"),
+        (True, "degree must be an integer, got True"),
+        (np.float64(2.0), "degree must be an integer, got np.float64(2.0)"),
+        ("2", "degree must be an integer, got '2'"),
+        (MAX_DEGREE + 1, "degree must lie in [0, 10], got 11"),
+    ], ids=["-1", "2.5", "True", "2.0", "2", "MAX_DEGREE+1"])
+    def test_bad_degree_rejected(self, degree, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
             batch_least_squares(np.arange(10.0), np.ones(10), degree)
+
+    @pytest.mark.parametrize("taus, ys", [
+        ("a", "b"), ([1.0, "a"], [1.0, 2.0]), (object(), object()),
+        (["1", "2", "3"], [1.0, 2.0, 3.0]), ([1.0, 2.0, 3.0], [b"1", b"2", b"3"]),
+    ], ids=["letters", "mixed", "object", "digit_strings", "bytes"])
+    def test_malformed_samples_rejected(self, taus, ys):
+        with pytest.raises(InvalidInputError, match="taus and ys must be"):
+            batch_least_squares(taus, ys, 1)
 
     def test_overflowing_basis_rejected(self):
         # finite times whose fourth power overflows: no LinAlgError, and no

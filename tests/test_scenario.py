@@ -1,4 +1,6 @@
+import contextlib
 import math
+import os
 import re
 
 import numpy as np
@@ -207,3 +209,26 @@ class TestTraceExport:
         np.testing.assert_array_equal(z, trace.measurement)
         flags = np.array([int(line.split(",")[4]) for line in lines], dtype=bool)
         np.testing.assert_array_equal(flags, trace.outlier_mask)
+
+    @pytest.mark.parametrize("value", [None, {}, "trace"], ids=["None", "dict", "str"])
+    def test_arguments_must_be_a_config_and_a_trace(self, value, tmp_path):
+        with pytest.raises(InvalidInputError, match="config must be a ScenarioConfig"):
+            synthesize(value)
+        with pytest.raises(InvalidInputError, match="trace must be a ScenarioTrace"):
+            write_trace_csv(value, tmp_path / "trace.csv")
+
+    def test_integer_path_rejected(self):
+        # open() takes an integer as a file descriptor, writes to it and
+        # closes it: True is stdout
+        trace = synthesize(ScenarioConfig(sample_count=10, clean_prefix=0,
+                                          outlier_fraction=0.0))
+        read_end, write_end = os.pipe()
+        try:
+            for path in (write_end, np.int64(write_end), True):
+                with pytest.raises(InvalidInputError, match="path must be a file path"):
+                    write_trace_csv(trace, path)
+            os.fstat(write_end)  # still open
+        finally:
+            os.close(read_end)
+            with contextlib.suppress(OSError):
+                os.close(write_end)
