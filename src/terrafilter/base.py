@@ -1,11 +1,12 @@
 """Estimator base class and the shared covariance-factor recursion.
 
-Filters follow the scikit-learn estimator convention: hyperparameters are
-plain constructor arguments stored verbatim, ``get_params``/``set_params``
+Filters follow the scikit-learn estimator convention: each filter is a
+dataclass whose fields are its hyperparameters, ``get_params``/``set_params``
 round-trip them, fitted state lives in trailing-underscore attributes, and
 ``fit`` returns ``self``.
 """
 
+import dataclasses
 import functools
 import inspect
 import math
@@ -106,9 +107,10 @@ def check_numbers(obj):
     """Check the fields of ``obj`` by the annotations of its constructor: an
     ``int`` holds an integer other than a bool, a ``float`` (``float |
     None``: None, or) a number that ``is_finite_number`` takes, a ``tuple``
-    of floats such entries, as many as it declares, and ``Annotated[T,
-    *rules]`` a ``T`` in each rule. Raises an InvalidInputError naming the
-    first field that does not, as in ``mu must lie in (0, 2), got 5``."""
+    of floats such entries, as many as it declares, a ``bool``, ``str`` or
+    other class an instance of it, and ``Annotated[T, *rules]`` a ``T`` in
+    each rule. Raises an InvalidInputError naming the first field that does
+    not, as in ``mu must lie in (0, 2), got 5``."""
     params, hints = constructor_spec(type(obj))
     for name in params:
         tp, value = hints.get(name), getattr(obj, name)
@@ -126,6 +128,8 @@ def check_numbers(obj):
                     f"{name} must be {len(args)} numbers, got {describe(value)}")
             if not all(map(is_finite_number, value)):
                 raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
+        if isinstance(tp, type) and tp not in (int, float):
+            require_type(name, value, tp)
         for rule in rules:
             if value not in rule:
                 raise InvalidInputError(f"{name} must {rule.verb} {rule}, got {describe(value)}")
@@ -147,24 +151,20 @@ class StreamingFilter:
     prediction per post-window sample. Each prediction is made before the
     corresponding measurement is absorbed.
 
-    A fitted filter is a single-threaded mutable value; independent
-    instances may run concurrently.
+    Each filter is a ``@dataclass(eq=False)`` whose fields, in constructor
+    order, are its hyperparameters: its ``repr`` shows them, and it compares
+    and hashes by identity. A fitted filter is a single-threaded mutable
+    value; independent instances may run concurrently.
     """
 
-    @classmethod
-    def _param_names(cls):
-        return list(constructor_spec(cls)[0])
-
     def get_params(self, deep: bool = True) -> dict:
-        return {name: getattr(self, name) for name in self._param_names()}
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
     def set_params(self, **params):
-        valid = set(self._param_names())
+        unknown = sorted(params.keys() - self.get_params().keys())
+        if unknown:
+            raise InvalidInputError(f"invalid parameter {unknown[0]!r} for {type(self).__name__}")
         for key, value in params.items():
-            if key not in valid:
-                raise InvalidInputError(
-                    f"invalid parameter {key!r} for {type(self).__name__}"
-                )
             setattr(self, key, value)
         return self
 
@@ -291,7 +291,8 @@ class StreamingFilter:
     _lockstep_step = None
 
     def _copy(self):
-        return type(self)(**self.get_params())
+        """A new filter of the same parameters, with no fitted state."""
+        return dataclasses.replace(self)
 
     def run_lockstep_detailed(self, times_list, measurements_list) -> list:
         """Run a copy of this filter over each trace, as ``run_detailed`` would.

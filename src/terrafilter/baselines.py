@@ -7,6 +7,7 @@ adaptive filter over identical traces.
 """
 
 import math
+from dataclasses import dataclass
 from typing import Annotated
 
 import numpy as np
@@ -23,6 +24,7 @@ MAX_PARTICLE_COUNT = 1_000_000
 UnitFraction = Annotated[float, Interval(0, 1, ends="(]")]
 
 
+@dataclass(eq=False)
 class NormalizedLms(StreamingFilter):
     """Normalized LMS on a polynomial regressor.
 
@@ -34,13 +36,11 @@ class NormalizedLms(StreamingFilter):
     powers of scaled time).
     """
 
-    def __init__(self, degree: Degree = 0, mu: Annotated[float, Interval(0, 2, ends="()")] = 0.3,
-                 eps: Positive = 1e-8, init_window: int = 100, scale_divisor: Positive = 100.0):
-        self.degree = degree
-        self.mu = mu
-        self.eps = eps
-        self.init_window = init_window
-        self.scale_divisor = scale_divisor
+    degree: Degree = 0
+    mu: Annotated[float, Interval(0, 2, ends="()")] = 0.3
+    eps: Positive = 1e-8
+    init_window: int = 100
+    scale_divisor: Positive = 100.0
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -57,6 +57,7 @@ class NormalizedLms(StreamingFilter):
         return (prediction,)
 
 
+@dataclass(eq=False)
 class StaticRls(ForgettingFactorCore):
     """Exponentially weighted RLS with a fixed forgetting factor.
 
@@ -66,14 +67,11 @@ class StaticRls(ForgettingFactorCore):
     least squares.
     """
 
-    def __init__(self, forgetting: UnitFraction = 0.96, degree: Degree = 4,
-                 init_window: int = 100, scale_divisor: Positive = 100.0,
-                 covariance_init: CovarianceInit = "gram"):
-        self.forgetting = forgetting
-        self.degree = degree
-        self.init_window = init_window
-        self.scale_divisor = scale_divisor
-        self.covariance_init = covariance_init
+    forgetting: UnitFraction = 0.96
+    degree: Degree = 4
+    init_window: int = 100
+    scale_divisor: Positive = 100.0
+    covariance_init: CovarianceInit = "gram"
 
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
@@ -86,6 +84,7 @@ class StaticRls(ForgettingFactorCore):
         return (prediction,)
 
 
+@dataclass(eq=False)
 class GvffRls(ForgettingFactorCore):
     """RLS whose forgetting factor descends the expected squared a-priori
     error, using the sensitivity recursions of the gradient-based
@@ -101,18 +100,14 @@ class GvffRls(ForgettingFactorCore):
     No outlier gate, by design.
     """
 
-    def __init__(self, alpha: float = 1e-3, lambda_min: float = 0.85,
-                 lambda_max: float = 0.95, lambda_init: float = 0.90,
-                 degree: Degree = 4, init_window: int = 100,
-                 scale_divisor: Positive = 100.0, covariance_init: CovarianceInit = "gram"):
-        self.alpha = alpha
-        self.lambda_min = lambda_min
-        self.lambda_max = lambda_max
-        self.lambda_init = lambda_init
-        self.degree = degree
-        self.init_window = init_window
-        self.scale_divisor = scale_divisor
-        self.covariance_init = covariance_init
+    alpha: float = 1e-3
+    lambda_min: float = 0.85
+    lambda_max: float = 0.95
+    lambda_init: float = 0.90
+    degree: Degree = 4
+    init_window: int = 100
+    scale_divisor: Positive = 100.0
+    covariance_init: CovarianceInit = "gram"
 
     def _validate_params(self):
         super()._validate_params()
@@ -167,6 +162,7 @@ class GvffRls(ForgettingFactorCore):
         return (prediction,)
 
 
+@dataclass(eq=False)
 class BootstrapParticleFilter(StreamingFilter):
     """Scalar bootstrap particle filter with systematic resampling.
 
@@ -179,18 +175,14 @@ class BootstrapParticleFilter(StreamingFilter):
     point of this baseline, not a target for optimization.
     """
 
-    def __init__(self, particle_count: Annotated[int, Interval(2, MAX_PARTICLE_COUNT)] = 500,
-                 process_std: NonNegative = 0.09, measurement_std: Positive = 0.3,
-                 resample_threshold: UnitFraction = 0.5, seed: Seed = 0,
-                 degree: Degree = 4, init_window: int = 100, scale_divisor: Positive = 100.0):
-        self.particle_count = particle_count
-        self.process_std = process_std
-        self.measurement_std = measurement_std
-        self.resample_threshold = resample_threshold
-        self.seed = seed
-        self.degree = degree
-        self.init_window = init_window
-        self.scale_divisor = scale_divisor
+    particle_count: Annotated[int, Interval(2, MAX_PARTICLE_COUNT)] = 500
+    process_std: NonNegative = 0.09
+    measurement_std: Positive = 0.3
+    resample_threshold: UnitFraction = 0.5
+    seed: Seed = 0
+    degree: Degree = 4
+    init_window: int = 100
+    scale_divisor: Positive = 100.0
 
     def _validate_params(self):
         super()._validate_params()

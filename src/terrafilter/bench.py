@@ -37,7 +37,7 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 @dataclass(frozen=True)
 class AlgorithmSpec:
     """A named filter construction recipe. ``params`` are constructor
-    arguments, typed by the filter's ``__init__`` annotations; the value
+    arguments, typed by the annotations of the filter's fields; the value
     "scenario" for target_noise_variance resolves to each scenario's true
     noise variance at run time."""
 
@@ -55,9 +55,9 @@ class ExperimentConfig:
     emit_traces: bool = True
 
     def validate(self):
-        """Check what the field types cannot. Each algorithm's params are
-        typed by its filter's ``__init__`` annotations and checked by the
-        filter's ``_validate_params``, once per scenario."""
+        """Check what the field types cannot. Each algorithm's filter is
+        built as ``build_filter`` builds it and checked by its
+        ``_validate_params``, once per scenario."""
         if not self.scenarios or not self.algorithms or not self.seeds:
             raise ConfigError("config: scenarios, algorithms, and seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
@@ -125,8 +125,10 @@ def _filter_params(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int) -> 
 
 
 def build_filter(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int):
-    """Instantiate the filter for one cell of a validated config."""
-    return FILTER_KINDS[spec.kind](**_filter_params(spec, scenario, seed))
+    """Instantiate the filter for one cell of a validated config, typed by
+    ``_build`` as the config check typed it."""
+    return _build(_filter_params(spec, scenario, seed), FILTER_KINDS[spec.kind],
+                  f"{spec.name}.params")
 
 
 # -- configuration files: the dataclasses are the schema ------------------
@@ -140,9 +142,9 @@ def _expect(ok: bool, path: str, expected: str, value) -> None:
 def _build(value, tp, path: str):
     """Build a value of annotated type ``tp`` from parsed JSON: an int takes
     only an integer, a float an integer or a finite number (stored as
-    float), a bool, str or dict only its own type, and a class (a dataclass
-    or a filter) an object of its constructor's parameters, each typed by
-    its annotation. A mismatch is a ConfigError naming the path."""
+    float), a bool, str or dict only its own type, and a dataclass (a config
+    object or a filter) an object of its constructor's parameters, each
+    typed by its annotation. A mismatch is a ConfigError naming the path."""
     tp = typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Annotated else tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # ``T | None``

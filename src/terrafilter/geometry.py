@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from .base import (NonNegative, Positive, check_numbers, describe, is_finite_number,
                    require_type)
 from .exceptions import InvalidInputError
+from .regression import _float_array
 
 
 def _require_finite(**values):
@@ -25,12 +26,13 @@ def _floats(name, value, count):
     """``value`` as a tuple of ``count`` floats; anything else, a string of
     digits included, is an InvalidInputError naming it."""
     try:
-        values = () if isinstance(value, str) else tuple(float(v) for v in value)
+        values = _float_array(value)
+        counted = values.shape == (count,)
     except (TypeError, ValueError, OverflowError):
-        values = ()
-    if len(values) != count:
+        counted = False
+    if not counted:
         raise InvalidInputError(f"{name} must be {count} numbers, got {describe(value)}")
-    return values
+    return tuple(values.tolist())
 
 
 @dataclass(frozen=True)

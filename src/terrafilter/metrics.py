@@ -16,8 +16,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import describe, is_finite_number
+from .base import describe, is_finite_number, require_type
 from .exceptions import InvalidInputError
+from .regression import _as_trace
+from .scenario import ScenarioTrace
 
 
 @dataclass
@@ -47,13 +49,7 @@ def format_metrics(values) -> list:
 
 
 def _check_pair(pred, ref):
-    try:
-        pred = np.asarray(pred, dtype=float)
-        ref = np.asarray(ref, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InvalidInputError(f"prediction and reference must be numbers: {exc}") from exc
-    if pred.ndim != 1 or pred.shape != ref.shape:
-        raise InvalidInputError("prediction and reference lengths must match")
+    pred, ref = _as_trace(pred, ref, "prediction and reference")
     if len(pred) == 0:
         raise InvalidInputError("metrics need at least one sample")
     if not (np.isfinite(pred).all() and np.isfinite(ref).all()):
@@ -106,6 +102,10 @@ def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
     ``TIMED_RUNS`` timed runs is returned. ``timed_steps`` caps the number
     of steps per run: None, or an integer of at least 1.
     """
+    if not callable(filter_factory):
+        raise InvalidInputError(
+            f"filter_factory must be callable, got {type(filter_factory).__name__}")
+    require_type("trace", trace, ScenarioTrace)
     if timed_steps is not None and (isinstance(timed_steps, bool)
                                     or not isinstance(timed_steps, numbers.Integral)
                                     or timed_steps < 1):

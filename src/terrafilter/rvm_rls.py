@@ -66,6 +66,7 @@ class StepOutput:
     sigma2_hat_after: float
 
 
+@dataclass(eq=False)
 class RvmRls(ForgettingFactorCore):
     """Adaptive-forgetting recursive least squares with a 3-sigma gate.
 
@@ -92,23 +93,17 @@ class RvmRls(ForgettingFactorCore):
     A gated sample leaves the whole state untouched (see README).
     """
 
-    def __init__(self, degree: Degree = 4, step_size: Positive = 1e-3,
-                 cost_gain: Positive = 20.0, lambda_min: float = 0.85,
-                 lambda_max: float = 0.95, lambda_init: float = 0.90,
-                 target_noise_variance: Positive | None = None,
-                 init_window: int = 100, scale_divisor: Positive = 100.0,
-                 outlier_gate: bool = True, covariance_init: CovarianceInit = "residual"):
-        self.degree = degree
-        self.step_size = step_size
-        self.cost_gain = cost_gain
-        self.lambda_min = lambda_min
-        self.lambda_max = lambda_max
-        self.lambda_init = lambda_init
-        self.target_noise_variance = target_noise_variance
-        self.init_window = init_window
-        self.scale_divisor = scale_divisor
-        self.outlier_gate = outlier_gate
-        self.covariance_init = covariance_init
+    degree: Degree = 4
+    step_size: Positive = 1e-3
+    cost_gain: Positive = 20.0
+    lambda_min: float = 0.85
+    lambda_max: float = 0.95
+    lambda_init: float = 0.90
+    target_noise_variance: Positive | None = None
+    init_window: int = 100
+    scale_divisor: Positive = 100.0
+    outlier_gate: bool = True
+    covariance_init: CovarianceInit = "residual"
 
     def _validate_params(self):
         super()._validate_params()

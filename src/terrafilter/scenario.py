@@ -6,15 +6,15 @@ measurements corrupted by a configurable fraction of impulsive outliers.
 """
 
 import math
-import numbers
+import os
 from dataclasses import dataclass, field, replace
 from typing import Annotated
 
 import numpy as np
 
-from .base import (Interval, NonNegative, Positive, Seed, check_numbers, describe,
-                   require_type)
+from .base import Interval, NonNegative, Positive, Seed, check_numbers, require_type
 from .exceptions import InvalidInputError
+from .regression import _float_array
 
 TRACE_HEADER = ["t", "H", "p", "z", "outlier"]
 # The most samples a scenario may ask for: 500 times the benchmark's 2,000.
@@ -39,8 +39,9 @@ class TerrainParams:
 
 def terrain_height(t, params: TerrainParams = TerrainParams()):
     """Evaluate the terrain profile at time(s) t, which must be finite."""
+    require_type("params", params, TerrainParams)
     try:
-        t = np.asarray(t, dtype=float)
+        t = _float_array(t)
         finite = np.isfinite(t).all()
     except (TypeError, ValueError, OverflowError):
         finite = False
@@ -185,10 +186,11 @@ def write_columns(path, header, columns) -> None:
     """Write equal-length 1-D columns as comma-separated text: the header
     line, then one line per row. Integer and boolean columns print as
     integers, the rest at full double precision (``%.17g``). ``path`` is a
-    file path: ``open`` would take an integer as a file descriptor and close
-    it."""
-    if isinstance(path, numbers.Integral):
-        raise InvalidInputError(f"path must be a file path, got {describe(path)}")
+    str, bytes or os.PathLike file path: ``open`` would take an integer as a
+    file descriptor and close it."""
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidInputError(f"path must be a file path (a str, bytes or os.PathLike), "
+                                f"got {type(path).__name__}")
     columns = [np.asarray(c) for c in columns]
     fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
                    for c in columns) + "\n"

@@ -1,5 +1,8 @@
+import inspect
 import math
 import re
+import types
+import typing
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from terrafilter import (BootstrapParticleFilter, GvffRls, InvalidInputError,
                          StaticRls, batch_least_squares, max_error, mse,
                          poly_basis)
 from terrafilter.baselines import MAX_PARTICLE_COUNT
+from terrafilter.bench import FILTER_KINDS
 
 ALL_FILTERS = [
     lambda: RvmRls(target_noise_variance=0.09),
@@ -26,6 +30,49 @@ RLS_FAMILY = {
                                     lambda_init=lam),
     "rvm_rls": lambda lam: RvmRls(lambda_min=lam, lambda_max=lam,
                                   lambda_init=lam, outlier_gate=False),
+}
+
+
+def _spell(tp):
+    """An annotation as text: ``Annotated[float, Interval(0, 2, ends="()")]``
+    is ``float lie in (0, 2)``, and ``T | None`` is ``T | NoneType``."""
+    if typing.get_origin(tp) is typing.Annotated:
+        base, *rules = typing.get_args(tp)
+        return " ".join([_spell(base), *(f"{rule.verb} {rule}" for rule in rules)])
+    if typing.get_origin(tp) in (types.UnionType, typing.Union):
+        return " | ".join(map(_spell, typing.get_args(tp)))
+    return tp.__name__
+
+
+DEGREE = "int lie in [0, 10]"
+POSITIVE = "float lie in (0, inf)"
+COVARIANCE_INIT = "str be one of 'residual', 'gram'"
+# every filter's constructor: (name, annotation, default), in order
+SIGNATURES = {
+    "rvm_rls": [("degree", DEGREE, 4), ("step_size", POSITIVE, 1e-3),
+                ("cost_gain", POSITIVE, 20.0), ("lambda_min", "float", 0.85),
+                ("lambda_max", "float", 0.95), ("lambda_init", "float", 0.90),
+                ("target_noise_variance", f"{POSITIVE} | NoneType", None),
+                ("init_window", "int", 100), ("scale_divisor", POSITIVE, 100.0),
+                ("outlier_gate", "bool", True),
+                ("covariance_init", COVARIANCE_INIT, "residual")],
+    "rls": [("forgetting", "float lie in (0, 1]", 0.96), ("degree", DEGREE, 4),
+            ("init_window", "int", 100), ("scale_divisor", POSITIVE, 100.0),
+            ("covariance_init", COVARIANCE_INIT, "gram")],
+    "lms": [("degree", DEGREE, 0), ("mu", "float lie in (0, 2)", 0.3),
+            ("eps", POSITIVE, 1e-8), ("init_window", "int", 100),
+            ("scale_divisor", POSITIVE, 100.0)],
+    "gvff_rls": [("alpha", "float", 1e-3), ("lambda_min", "float", 0.85),
+                 ("lambda_max", "float", 0.95), ("lambda_init", "float", 0.90),
+                 ("degree", DEGREE, 4), ("init_window", "int", 100),
+                 ("scale_divisor", POSITIVE, 100.0),
+                 ("covariance_init", COVARIANCE_INIT, "gram")],
+    "pf": [("particle_count", "int lie in [2, 1000000]", 500),
+           ("process_std", "float lie in [0, inf)", 0.09),
+           ("measurement_std", POSITIVE, 0.3),
+           ("resample_threshold", "float lie in (0, 1]", 0.5),
+           ("seed", "int lie in [0, inf)", 0), ("degree", DEGREE, 4),
+           ("init_window", "int", 100), ("scale_divisor", POSITIVE, 100.0)],
 }
 
 
@@ -373,3 +420,22 @@ class TestInterfaceUniformity:
             assert f.get_params()["init_window"] == 60
         with pytest.raises(InvalidInputError):
             RvmRls().set_params(nonsense=1)
+
+    @pytest.mark.parametrize("kind", FILTER_KINDS)
+    def test_constructor_signature_pinned(self, kind):
+        # names, order, defaults and annotations, rules spelled by _spell
+        params = inspect.signature(FILTER_KINDS[kind]).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params)
+        assert [(p.name, _spell(p.annotation), p.default) for p in params] == SIGNATURES[kind]
+
+    @pytest.mark.parametrize("make", ALL_FILTERS, ids=FILTER_IDS)
+    def test_copy_carries_parameters_not_fitted_state(self, make, benchmark_trace_outliers):
+        trace = benchmark_trace_outliers
+        f = make().set_params(init_window=60)
+        f.fit(trace.times[:60], trace.measurement[:60])
+        copy = f._copy()
+        assert type(copy) is type(f) and copy is not f
+        assert copy.get_params() == f.get_params()
+        assert [name for name in vars(copy) if name.endswith("_")] == []
+        assert f.is_fitted_ and copy != f
+

@@ -69,6 +69,7 @@ class TestNextWaypoint:
         ("123", (0.0, 0.0), "current"),
         ((0.0, 0.0, 0.0), (0.0,), "noise"),
         ((0.0, 0.0, 0.0), (0.0, None), "noise"),
+        (("1", "2", "3"), (0.0, 0.0), "current"),
     ])
     def test_malformed_point_or_noise_rejected(self, current, noise, name):
         geom = WaypointGeometry(pitch=0.1, yaw=0.0, lidar_distance=1.0, clearance=5.0)

@@ -41,8 +41,10 @@ class TestMse:
                                         lambda p, r: variance_ratio(p, r, 0.09)],
                              ids=["mse", "max_error", "variance_ratio"])
     @pytest.mark.parametrize("pred, ref", [(["a"], [0.0]), ([0.0], ["a"]),
-                                           ([10**400], [0.0]), ([0.0], [-10**400])],
-                             ids=["pred-a", "ref-a", "pred-10**400", "ref-10**400"])
+                                           ([10**400], [0.0]), ([0.0], [-10**400]),
+                                           (["1"], ["2"])],
+                             ids=["pred-a", "ref-a", "pred-10**400", "ref-10**400",
+                                  "digits"])
     def test_non_numeric_input_rejected(self, metric, pred, ref):
         with pytest.raises(InvalidInputError, match="must be numbers"):
             metric(pred, ref)

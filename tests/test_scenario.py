@@ -36,7 +36,9 @@ class TestTerrainHeight:
             TerrainParams(envelope_sigma=0.0)
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, "a", None,
-                                   pytest.param(10**400, id="10**400"), [0.0, math.nan]])
+                                   pytest.param(10**400, id="10**400"), [0.0, math.nan],
+                                   pytest.param("1", id="digits"),
+                                   pytest.param(b"1", id="bytes")])
     def test_non_finite_time_rejected(self, t):
         with pytest.raises(InvalidInputError, match="t must be finite numbers"):
             terrain_height(t)
