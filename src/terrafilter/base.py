@@ -257,24 +257,27 @@ class StreamingFilter:
         self.fit(times[:n0], measurements[:n0])
         return times, measurements
 
-    def _drive(self, times, measurements, step) -> list:
-        """Fit on the first ``init_window`` samples, then return
-        ``step(t, y)`` for each remaining sample, in order."""
-        times, measurements = self._begin(times, measurements)
-        return [step(times[j], measurements[j])
-                for j in range(self.init_window, len(times))]
+    def _step_columns(self, t_raw: float, y: float) -> tuple:
+        """One ``step``'s ``_LOCKSTEP_COLUMNS`` values, in order."""
+        return (self.step(t_raw, y),)
 
     def run(self, times, measurements) -> np.ndarray:
         """Fit on the first ``init_window`` samples, then step the rest.
 
         Returns one prediction per post-window sample.
         """
-        return np.array(self._drive(times, measurements, self.step), dtype=float)
+        return self.run_detailed(times, measurements)["prediction"]
 
     def run_detailed(self, times, measurements) -> dict:
         """``run`` with every per-step column: a dict of the
-        ``_LOCKSTEP_COLUMNS`` arrays, here the predictions alone."""
-        return {"prediction": self.run(times, measurements)}
+        ``_LOCKSTEP_COLUMNS`` arrays, one ``_step_columns`` row per
+        post-window sample. A trace exactly init_window long yields empty
+        columns."""
+        times, measurements = self._begin(times, measurements)
+        rows = [self._step_columns(times[j], measurements[j])
+                for j in range(self.init_window, len(times))]
+        return {name: np.array([row[i] for row in rows], dtype=dtype)
+                for i, (name, dtype) in enumerate(self._LOCKSTEP_COLUMNS)}
 
     # -- lockstep: one filter per trace, all advanced together -------------
 

@@ -64,6 +64,10 @@ class ExperimentConfig:
             raise ConfigError(
                 "config.seeds: seeds must be distinct and non-negative, "
                 f"got {describe(self.seeds)}")
+        for i, scenario in enumerate(self.scenarios):
+            if scenario.seed != 0:
+                raise ConfigError(f"config.scenarios[{i}].seed: each cell's trace is "
+                                  "synthesized with its seed from config.seeds")
         for key in ("scenarios", "algorithms"):
             names = [item.name for item in getattr(self, key)]
             if len(set(names)) != len(names) or not all(map(_NAME_RE.match, names)):

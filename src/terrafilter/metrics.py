@@ -100,7 +100,9 @@ def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
     trace's leading init window, and times the bare step loop with the
     monotonic clock. One warm-up run is discarded; the median of the
     ``TIMED_RUNS`` timed runs is returned. ``timed_steps`` caps the number
-    of steps per run: None, or an integer of at least 1.
+    of steps per run: None, or an integer of at least 1. The factory's
+    first product must look like a filter: an integer ``init_window`` and
+    a callable ``fit`` and ``step``.
     """
     if not callable(filter_factory):
         raise InvalidInputError(
@@ -111,10 +113,15 @@ def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
                                     or timed_steps < 1):
         raise InvalidInputError(
             f"timed_steps must be None or an integer >= 1, got {describe(timed_steps)}")
-    times = trace.times
-    measurements = trace.measurement
+    times, measurements = _as_trace(trace.times, trace.measurement,
+                                    "trace.times and trace.measurement")
     probe = filter_factory()
-    n0 = probe.init_window
+    n0 = getattr(probe, "init_window", None)
+    if (isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
+            or not (callable(getattr(probe, "fit", None))
+                    and callable(getattr(probe, "step", None)))):
+        raise InvalidInputError("filter_factory must return a filter (an integer "
+                                f"init_window, a fit and a step), got {type(probe).__name__}")
     if len(times) <= n0:
         raise InvalidInputError("trace too short to time")
     stop = len(times) if timed_steps is None else min(len(times), n0 + timed_steps)

@@ -84,7 +84,8 @@ class RvmRls(ForgettingFactorCore):
     init_window : number of leading samples consumed by ``fit``.
     scale_divisor : raw time units per scaled unit fed to the basis.
     outlier_gate : disable to let every residual through (used by the
-        batch-equivalence oracle).
+        batch-equivalence oracle); ``fit`` reads it, as it reads
+        ``target_noise_variance``.
     covariance_init : "residual" scales the covariance factor by the
         window's residual variance (the batch parameter covariance);
         "gram" uses the bare normal-equation inverse, which makes the
@@ -112,13 +113,16 @@ class RvmRls(ForgettingFactorCore):
 
     def _init_state(self, fit, taus):
         """theta and the covariance factor from the window fit, the
-        residual-variance estimate from the fit's SSE / (n - degree - 1)."""
+        residual-variance estimate from the fit's SSE / (n - degree - 1),
+        and the gate: three target standard deviations, or inf (which no
+        residual passes) when ``outlier_gate`` is off."""
         super()._init_state(fit, taus)
         self.sigma2_hat_ = fit.residual_variance
         if self.target_noise_variance is not None:
             self.sigma2_target_ = float(self.target_noise_variance)
         else:
             self.sigma2_target_ = fit.residual_variance
+        self.gate_ = 3.0 * math.sqrt(self.sigma2_target_) if self.outlier_gate else math.inf
         self.lambda_ = self._clip_lambda(self.lambda_init)
 
     def step_detailed(self, t_raw: float, y: float) -> StepOutput:
@@ -132,11 +136,7 @@ class RvmRls(ForgettingFactorCore):
         """
         phi, y, prediction = self._predict(t_raw, y)
         residual = y - prediction
-        rejected = (
-            self.outlier_gate
-            and abs(residual) > 3.0 * math.sqrt(self.sigma2_target_)
-        )
-
+        rejected = abs(residual) > self.gate_
         if rejected:
             self.step_index_ += 1
         else:
@@ -157,36 +157,25 @@ class RvmRls(ForgettingFactorCore):
     def step(self, t_raw: float, y: float) -> float:
         return self.step_detailed(t_raw, y).prediction
 
-    def run_detailed(self, times, measurements) -> dict:
-        """Fit on the leading window, then step through the remainder:
-        returns the ``_LOCKSTEP_COLUMNS`` arrays, each read from the same
-        field of every ``step_detailed`` record. A trace exactly
-        init_window long yields empty columns."""
-        outputs = self._drive(times, measurements, self.step_detailed)
-        return {name: np.array([getattr(o, field.name) for o in outputs], dtype=dtype)
-                for (name, dtype), field in zip(self._LOCKSTEP_COLUMNS, fields(StepOutput))}
+    def _step_columns(self, t_raw, y):
+        return self._STEP_FIELDS(self.step_detailed(t_raw, y))
 
     # -- lockstep ----------------------------------------------------------
 
     _LOCKSTEP_STATE = ForgettingFactorCore._LOCKSTEP_STATE + (
-        "lambda_", "sigma2_hat_", "sigma2_target_")
-    # the fig4 columns: StepOutput's fields of the same meaning
+        "lambda_", "sigma2_hat_", "sigma2_target_", "gate_")
+    # the fig4 columns: StepOutput's fields of the same meaning, in order
     _LOCKSTEP_COLUMNS = (("prediction", float), ("residual", float),
                          ("rejected", bool), ("lambda", float),
                          ("sigma2_hat", float))
+    _STEP_FIELDS = operator.attrgetter(*(field.name for field in fields(StepOutput)))
 
     # the state a gated row keeps
     _GATED_STATE = operator.attrgetter("theta_", "L_", "f_order", "lambda_", "sigma2_hat_")
 
-    def _stack_state(self, s, filters):
-        super()._stack_state(s, filters)
-        # an ungated filter's gate is inf, which no residual passes
-        s.gate = (3.0 * np.sqrt(s.sigma2_target_) if self.outlier_gate
-                  else np.full(len(filters), np.inf))
-
     def _lockstep_step(self, s, j):
         phi, prediction, residual = self._predict_rows(s, j)
-        rejected = np.abs(residual) > s.gate
+        rejected = np.abs(residual) > s.gate_
         before = self._GATED_STATE(s)
         # a non-finite input always leaves a non-finite gradient, so this
         # mark covers variance_cost's checks

@@ -187,11 +187,25 @@ def write_columns(path, header, columns) -> None:
     line, then one line per row. Integer and boolean columns print as
     integers, the rest at full double precision (``%.17g``). ``path`` is a
     str, bytes or os.PathLike file path: ``open`` would take an integer as a
-    file descriptor and close it."""
+    file descriptor and close it. Before the file is opened, a column that
+    is not a 1-D boolean, integer or float array as long as the first is an
+    InvalidInputError naming its header."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidInputError(f"path must be a file path (a str, bytes or os.PathLike), "
                                 f"got {type(path).__name__}")
-    columns = [np.asarray(c) for c in columns]
+    columns = list(columns)
+    if len(header) != len(columns):
+        raise InvalidInputError(f"{len(header)} headers for {len(columns)} columns")
+    for i, (name, column) in enumerate(zip(header, columns)):
+        try:
+            columns[i] = column = np.asarray(column)
+        except (TypeError, ValueError):  # a ragged sequence
+            column = np.asarray(None)
+        if not (column.ndim == 1 and column.dtype.kind in "biuf"
+                and len(column) == len(columns[0])):
+            raise InvalidInputError(
+                f"column {name} must be a 1-D numeric array as long as the first "
+                f"column, got shape {column.shape} and dtype {column.dtype}")
     fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
                    for c in columns) + "\n"
     rows = np.column_stack(columns).tolist()

@@ -267,6 +267,9 @@ REJECTED = {
         ["config.scenarios[0].outlier_band"]),
     "scenario_seed_negative": (_set("scenarios", 0, "seed", value=-1),
                                ["config.scenarios[0]", "seed"]),
+    # each cell's trace takes its seed from config.seeds
+    "scenario_seed_nonzero": (_set("scenarios", 0, "seed", value=123),
+                              ["config.scenarios[0].seed"]),
     "kind_missing": (_drop_kind, ["config.algorithms[0].kind"]),
     "particle_count_float": (
         _set("algorithms", 4, "params", value={"particle_count": 100.0}),

@@ -5,6 +5,7 @@ from terrafilter import (InvalidInputError, MetricsReport, NormalizedLms,
                          ScenarioConfig, max_error, mse, synthesize, time_step,
                          variance_ratio)
 from terrafilter.metrics import reports_from_csv, reports_to_csv
+from terrafilter.scenario import ScenarioTrace
 
 
 def _report(algorithm="a", scenario="s", seed=0, **kw):
@@ -148,6 +149,26 @@ class TestTimeStep:
     @pytest.mark.parametrize("steps", [1, np.int64(1)], ids=["int", "np.int64"])
     def test_one_timed_step(self, steps, short_trace):
         assert time_step(self._NoOp, short_trace, timed_steps=steps) >= 0.0
+
+    def test_malformed_trace_rejected(self):
+        trace = ScenarioTrace(*[None] * 6, config=ScenarioConfig())
+        with pytest.raises(InvalidInputError, match="trace.times and trace.measurement"):
+            time_step(NormalizedLms, trace)
+
+    class _NoStep:
+        init_window = 10
+
+        def fit(self, t, y):
+            return self
+
+    @pytest.mark.parametrize("factory", [
+        lambda: 5, lambda: None, _NoStep,
+        lambda: type("FloatWindow", (TestTimeStep._NoOp,), {"init_window": 10.0})(),
+        lambda: type("BoolWindow", (TestTimeStep._NoOp,), {"init_window": True})(),
+    ], ids=["int", "None", "no_step", "float_init_window", "bool_init_window"])
+    def test_factory_must_build_a_filter(self, factory, short_trace):
+        with pytest.raises(InvalidInputError, match="filter_factory must return a filter"):
+            time_step(factory, short_trace)
 
     def test_too_short(self):
         trace = synthesize(ScenarioConfig(sample_count=10, clean_prefix=0,

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from terrafilter import (InvalidInputError, NotFittedError, RvmRls,
                          ScenarioConfig, batch_least_squares, mse, synthesize,
                          variance_cost)
+from terrafilter.base import _Rows
+from terrafilter.regression import poly_basis
 
 
 class TestVarianceCost:
@@ -126,6 +128,23 @@ class TestStep:
         assert f.lambda_ == lam_before
         assert f.sigma2_hat_ == sig_before
         np.testing.assert_array_equal(f.L_, L_before)
+
+    def test_gate_is_fitted_state(self):
+        # set_params(outlier_gate=False) takes effect at the next fit, in
+        # step_detailed and in the lockstep, as target_noise_variance does
+        filters = [self._fitted() for _ in range(3)]
+        for f in filters:
+            f.set_params(outlier_gate=False)
+        s = _Rows()
+        s.failed = np.zeros(2, dtype=bool)
+        filters[0]._stack_state(s, filters[:2])
+        s.measurements = np.full((2, 1), 50.0)
+        s.phi = np.tile(poly_basis(30.0 / 100.0, 4), (2, 1, 1))
+        _, _, rejected, *_ = filters[0]._lockstep_step(s, 0)
+        assert rejected.tolist() == [True, True]
+        assert filters[2].step_detailed(30.0, 50.0).rejected
+        filters[2].fit(*_cubic_window())
+        assert not filters[2].step_detailed(30.0, 50.0).rejected
 
     def test_constant_signal_convergence(self):
         t = np.arange(100.0)

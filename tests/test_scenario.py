@@ -8,6 +8,7 @@ import pytest
 
 from terrafilter import (InvalidInputError, ScenarioConfig, TerrainParams,
                          synthesize, terrain_height, write_trace_csv)
+from terrafilter.scenario import ScenarioTrace, write_columns
 
 
 class TestTerrainHeight:
@@ -218,6 +219,26 @@ class TestTraceExport:
             synthesize(value)
         with pytest.raises(InvalidInputError, match="trace must be a ScenarioTrace"):
             write_trace_csv(value, tmp_path / "trace.csv")
+
+    def test_malformed_trace_rejected_before_the_file_is_opened(self, tmp_path):
+        trace = ScenarioTrace(*[None] * 6, config=ScenarioConfig())
+        with pytest.raises(InvalidInputError, match="column t must be a 1-D numeric array"):
+            write_trace_csv(trace, tmp_path / "trace.csv")
+        assert not (tmp_path / "trace.csv").exists()
+
+    @pytest.mark.parametrize("column", [np.arange(4.0), np.arange(2.0), np.ones((3, 1)),
+                                        np.array(["1", "2", "3"]), [[1.0], [2.0, 3.0], []],
+                                        np.ones(3, dtype=complex)],
+                             ids=["longer", "shorter", "2-D", "strings", "ragged", "complex"])
+    def test_bad_column_rejected_before_the_file_is_opened(self, column, tmp_path):
+        with pytest.raises(InvalidInputError, match="column b must be a 1-D numeric array"):
+            write_columns(tmp_path / "x.csv", ["a", "b"], [np.arange(3), column])
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_one_header_per_column(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="1 headers for 2 columns"):
+            write_columns(tmp_path / "x.csv", ["a"], [np.arange(3), np.arange(3)])
+        assert not (tmp_path / "x.csv").exists()
 
     def test_integer_path_rejected(self):
         # open() takes an integer as a file descriptor, writes to it and

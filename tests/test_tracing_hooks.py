@@ -42,6 +42,24 @@ def test_every_patched_name_exists_and_is_restored():
     assert summary["regression.poly_basis.calls"] == 30
 
 
+@pytest.mark.parametrize("make, method, span", [
+    (RvmRls, "run_detailed", "rvm_rls.step"),
+    (lambda: BootstrapParticleFilter(particle_count=10), "run", "baselines.pf.step"),
+], ids=["rvm_rls", "pf"])
+def test_one_driver_calls_the_traced_steps(make, method, span):
+    # run and run_detailed share one per-trace driver, which must step
+    # through the names the tracer patches: RvmRls.step_detailed and the
+    # particle filter's step
+    tracer = _tracer()
+    trace = synthesize(ScenarioConfig(sample_count=130, clean_prefix=100))
+    try:
+        tracer.install()
+        getattr(make(), method)(trace.times, trace.measurement)
+    finally:
+        tracer.restore()
+    assert tracer.summary()[f"{span}.calls"] == 30
+
+
 @pytest.mark.parametrize("make", [RvmRls, lambda: BootstrapParticleFilter(particle_count=10)],
                          ids=["rvm_rls", "pf"])
 def test_one_batch_fit_per_run(make):
