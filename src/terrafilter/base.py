@@ -11,6 +11,7 @@ import functools
 import inspect
 import math
 import numbers
+import sys
 import types
 import typing
 
@@ -19,8 +20,8 @@ import numpy as np
 from .exceptions import InvalidInputError, NotFittedError, NumericalDivergenceError
 from .regression import MAX_DEGREE, _as_trace, batch_least_squares, poly_basis
 
-# Gain denominators below this are treated as a numerical collapse rather
-# than silently dividing.
+# The smallest forgetting factor a filter takes: every gain denominator
+# lambda + phi^T P phi is then at least this too.
 GAIN_DENOMINATOR_FLOOR = 1e-12
 
 
@@ -435,6 +436,11 @@ class ForgettingFactorCore(StreamingFilter):
     def _init_state(self, fit, taus):
         super()._init_state(fit, taus)
         if self.covariance_init == "residual":
+            # phi^T P phi >= 1 / (window / variance + steps), as phi[0] is 1: a
+            # normal variance keeps it above the 0 the factor update divides by
+            if fit.residual_variance < sys.float_info.min:
+                raise InvalidInputError("covariance_init='residual' needs a residual variance "
+                                        f">= {sys.float_info.min}, got {fit.residual_variance}")
             self.L_ = math.sqrt(fit.residual_variance) * fit.gram_inverse_root
         else:
             self.L_ = fit.gram_inverse_root.copy()
@@ -446,22 +452,15 @@ class ForgettingFactorCore(StreamingFilter):
         v = phi.dot(L)
         vv = float(v.dot(v))
         denom = lam + vv
-        if denom < GAIN_DENOMINATOR_FLOOR:
-            raise NumericalDivergenceError(
-                "gain denominator collapsed", self.step_index_
-            )
         Lv = L.dot(v)
         K = Lv / denom
-        if vv > 0.0:
-            # (L - beta Lv v^T) / sqrt(lam) in the fresh C-ordered buffer of
-            # Lv v^T: BLAS rounds products with C- and F-ordered L differently
-            L_new = np.multiply(Lv[:, None], v)
-            L_new *= (1.0 - math.sqrt(lam / denom)) / vv
-            np.subtract(L, L_new, out=L_new)
-            L_new /= math.sqrt(lam)
-            self.L_ = L_new
-        else:
-            self.L_ = L / math.sqrt(lam)
+        # (L - beta Lv v^T) / sqrt(lam) in the fresh C-ordered buffer of
+        # Lv v^T: BLAS rounds products with C- and F-ordered L differently
+        L_new = np.multiply(Lv[:, None], v)
+        L_new *= (1.0 - math.sqrt(lam / denom)) / vv
+        np.subtract(L, L_new, out=L_new)
+        L_new /= math.sqrt(lam)
+        self.L_ = L_new
         return K
 
     def _clip_lambda(self, lam: float) -> float:
@@ -506,8 +505,6 @@ class ForgettingFactorCore(StreamingFilter):
             v[f_rows] = np.matmul(phi[f_rows, None, :], L_f)[:, 0]
         vv = np.matmul(v[:, None, :], v[:, :, None])[:, 0, 0]
         denom = lam + vv
-        # a row with no update direction (a zero factor) goes through run
-        s.failed |= ~(vv > 0.0) | (denom < GAIN_DENOMINATOR_FLOOR)
         Lv = np.matmul(L, v[:, :, None])[:, :, 0]
         if len(f_rows):
             Lv[f_rows] = np.matmul(L_f, v[f_rows, :, None])[:, :, 0]

@@ -12,8 +12,8 @@ from typing import Annotated
 
 import numpy as np
 
-from .base import (CovarianceInit, Degree, ForgettingFactorCore, Interval, NonNegative,
-                   Positive, Seed, StreamingFilter, all_finite)
+from .base import (GAIN_DENOMINATOR_FLOOR, CovarianceInit, Degree, ForgettingFactorCore,
+                   Interval, NonNegative, Positive, Seed, StreamingFilter, all_finite)
 from .exceptions import InvalidInputError, NumericalDivergenceError
 # batch_least_squares stays a module global here: perfbench's tracer patches it
 from .regression import batch_least_squares, poly_basis  # noqa: F401
@@ -21,7 +21,6 @@ from .regression import batch_least_squares, poly_basis  # noqa: F401
 # The most particles a particle filter may hold: 2,000 times the default
 # 500. ``fit`` builds them as a list, and each step loops over them.
 MAX_PARTICLE_COUNT = 1_000_000
-UnitFraction = Annotated[float, Interval(0, 1, ends="(]")]
 
 
 @dataclass(eq=False)
@@ -67,7 +66,7 @@ class StaticRls(ForgettingFactorCore):
     least squares.
     """
 
-    forgetting: UnitFraction = 0.96
+    forgetting: Annotated[float, Interval(GAIN_DENOMINATOR_FLOOR, 1)] = 0.96
     degree: Degree = 4
     init_window: int = 100
     scale_divisor: Positive = 100.0
@@ -111,10 +110,10 @@ class GvffRls(ForgettingFactorCore):
 
     def _validate_params(self):
         super()._validate_params()
-        if not (0.0 < self.lambda_min <= self.lambda_init <= self.lambda_max <= 1.0):
-            raise InvalidInputError(
-                "need 0 < lambda_min <= lambda_init <= lambda_max <= 1"
-            )
+        if not (GAIN_DENOMINATOR_FLOOR <= self.lambda_min <= self.lambda_init
+                <= self.lambda_max <= 1.0):
+            raise InvalidInputError(f"need {GAIN_DENOMINATOR_FLOOR} <= lambda_min "
+                                    "<= lambda_init <= lambda_max <= 1")
 
     def _init_state(self, fit, taus):
         super()._init_state(fit, taus)
@@ -178,7 +177,7 @@ class BootstrapParticleFilter(StreamingFilter):
     particle_count: Annotated[int, Interval(2, MAX_PARTICLE_COUNT)] = 500
     process_std: NonNegative = 0.09
     measurement_std: Positive = 0.3
-    resample_threshold: UnitFraction = 0.5
+    resample_threshold: Annotated[float, Interval(0, 1, ends="(]")] = 0.5
     seed: Seed = 0
     degree: Degree = 4
     init_window: int = 100

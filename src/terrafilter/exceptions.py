@@ -20,8 +20,8 @@ class SingularFitError(TerraFilterError, ValueError):
 
 
 class NumericalDivergenceError(TerraFilterError, ArithmeticError):
-    """Raised when a recursion produces non-finite state or a collapsing
-    gain denominator. Carries the step index at which it happened."""
+    """Raised when a recursion produces non-finite state. Carries the step
+    index at which it happened."""
 
     def __init__(self, message: str, step_index: int):
         super().__init__(f"{message} (step_index={step_index})")

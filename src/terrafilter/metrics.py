@@ -102,7 +102,7 @@ def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
     ``TIMED_RUNS`` timed runs is returned. ``timed_steps`` caps the number
     of steps per run: None, or an integer of at least 1. The factory's
     first product must look like a filter: an integer ``init_window`` and
-    a callable ``fit`` and ``step``.
+    a callable ``fit`` and ``step``, and not be a class.
     """
     if not callable(filter_factory):
         raise InvalidInputError(
@@ -117,7 +117,7 @@ def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
                                     "trace.times and trace.measurement")
     probe = filter_factory()
     n0 = getattr(probe, "init_window", None)
-    if (isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
+    if (isinstance(probe, type) or isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
             or not (callable(getattr(probe, "fit", None))
                     and callable(getattr(probe, "step", None)))):
         raise InvalidInputError("filter_factory must return a filter (an integer "

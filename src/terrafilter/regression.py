@@ -112,7 +112,10 @@ def batch_least_squares(taus, ys, degree: int) -> BatchFit:
             f"design matrix is rank deficient (sv ratio {s[-1] / s[0]:.3e})"
         )
 
-    theta = vt.T @ ((u.T @ ys) / s)
-    resid = ys - design @ theta
-    residual_variance = float(resid @ resid) / dof
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected just below
+        theta = vt.T @ ((u.T @ ys) / s)
+        resid = ys - design @ theta
+        residual_variance = float(resid @ resid) / dof
+    if not math.isfinite(residual_variance):
+        raise InvalidInputError("the residual variance overflows: the measurements are too large")
     return BatchFit(theta, residual_variance, vt.T / s)

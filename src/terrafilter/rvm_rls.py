@@ -14,8 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import CovarianceInit, Degree, ForgettingFactorCore, Positive
-from .exceptions import InvalidInputError
+from .base import GAIN_DENOMINATOR_FLOOR, CovarianceInit, Degree, ForgettingFactorCore, Positive
+from .exceptions import InvalidInputError, NumericalDivergenceError
 
 
 def variance_cost(sigma2_prev: float, residual: float, lam: float,
@@ -108,8 +108,9 @@ class RvmRls(ForgettingFactorCore):
 
     def _validate_params(self):
         super()._validate_params()
-        if not (0.0 < self.lambda_min <= self.lambda_max <= 1.0):
-            raise InvalidInputError("need 0 < lambda_min <= lambda_max <= 1")
+        if not GAIN_DENOMINATOR_FLOOR <= self.lambda_min <= self.lambda_max <= 1.0:
+            raise InvalidInputError(
+                f"need {GAIN_DENOMINATOR_FLOOR} <= lambda_min <= lambda_max <= 1")
 
     def _init_state(self, fit, taus):
         """theta and the covariance factor from the window fit, the
@@ -144,6 +145,9 @@ class RvmRls(ForgettingFactorCore):
                 self.sigma2_hat_, residual, self.lambda_,
                 self.cost_gain, self.sigma2_target_,
             )
+            if not math.isfinite(self.sigma2_hat_):
+                raise NumericalDivergenceError("variance estimate became non-finite",
+                                               self.step_index_)
             self.lambda_ = self._clip_lambda(self.lambda_ - self.step_size * gradient)
             self._absorb(phi, self.lambda_, residual)
         return StepOutput(
@@ -177,8 +181,8 @@ class RvmRls(ForgettingFactorCore):
         phi, prediction, residual = self._predict_rows(s, j)
         rejected = np.abs(residual) > s.gate_
         before = self._GATED_STATE(s)
-        # a non-finite input always leaves a non-finite gradient, so this
-        # mark covers variance_cost's checks
+        # a non-finite input or variance estimate always leaves a non-finite
+        # gradient, so this mark covers variance_cost's and step's checks
         s.sigma2_hat_, _, gradient = _variance_cost(
             s.sigma2_hat_, residual, s.lambda_, self.cost_gain, s.sigma2_target_)
         s.mark_nonfinite(gradient)

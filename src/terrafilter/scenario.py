@@ -187,15 +187,17 @@ def write_columns(path, header, columns) -> None:
     line, then one line per row. Integer and boolean columns print as
     integers, the rest at full double precision (``%.17g``). ``path`` is a
     str, bytes or os.PathLike file path: ``open`` would take an integer as a
-    file descriptor and close it. Before the file is opened, a column that
-    is not a 1-D boolean, integer or float array as long as the first is an
-    InvalidInputError naming its header."""
+    file descriptor and close it. Before the file is opened, no column, or
+    one that is not a 1-D boolean, integer or float array as long as the
+    first, is an InvalidInputError (naming the column's header)."""
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidInputError(f"path must be a file path (a str, bytes or os.PathLike), "
                                 f"got {type(path).__name__}")
     columns = list(columns)
     if len(header) != len(columns):
         raise InvalidInputError(f"{len(header)} headers for {len(columns)} columns")
+    if not columns:
+        raise InvalidInputError("write_columns needs at least one column")
     for i, (name, column) in enumerate(zip(header, columns)):
         try:
             columns[i] = column = np.asarray(column)

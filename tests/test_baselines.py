@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import math
 import re
 import types
@@ -32,6 +33,15 @@ RLS_FAMILY = {
                                   lambda_init=lam, outlier_gate=False),
 }
 
+# The RLS family at its defaults, with either factor and RvmRls's gates.
+RLS_VARIANTS = {
+    "rls": StaticRls, "rls_residual": lambda: StaticRls(covariance_init="residual"),
+    "gvff_rls": GvffRls, "gvff_rls_residual": lambda: GvffRls(covariance_init="residual"),
+    "rvm_rls": RvmRls, "rvm_rls_target": lambda: RvmRls(target_noise_variance=0.09),
+    "rvm_rls_no_gate": lambda: RvmRls(outlier_gate=False),
+    "rvm_rls_gram": lambda: RvmRls(covariance_init="gram"),
+}
+
 
 def _spell(tp):
     """An annotation as text: ``Annotated[float, Interval(0, 2, ends="()")]``
@@ -56,7 +66,7 @@ SIGNATURES = {
                 ("init_window", "int", 100), ("scale_divisor", POSITIVE, 100.0),
                 ("outlier_gate", "bool", True),
                 ("covariance_init", COVARIANCE_INIT, "residual")],
-    "rls": [("forgetting", "float lie in (0, 1]", 0.96), ("degree", DEGREE, 4),
+    "rls": [("forgetting", "float lie in [1e-12, 1]", 0.96), ("degree", DEGREE, 4),
             ("init_window", "int", 100), ("scale_divisor", POSITIVE, 100.0),
             ("covariance_init", COVARIANCE_INIT, "gram")],
     "lms": [("degree", DEGREE, 0), ("mu", "float lie in (0, 2)", 0.3),
@@ -214,18 +224,14 @@ class TestSharedKernel:
             assert np.array_equal(f._gain_update(phi, lam), Lv / denom)
             assert np.array_equal(f.L_, L)
 
-    @pytest.mark.parametrize("case", ["prediction", "denominator", "gain",
-                                      "parameter"])
+    @pytest.mark.parametrize("case", ["prediction", "gain", "parameter"])
     @pytest.mark.parametrize("name", list(RLS_FAMILY))
     def test_divergence_guards(self, name, case, benchmark_trace_outliers):
         trace = benchmark_trace_outliers
-        lam = 1e-13 if case == "denominator" else 0.9
-        f = RLS_FAMILY[name](lam).fit(trace.times[:100], trace.measurement[:100])
+        f = RLS_FAMILY[name](0.9).fit(trace.times[:100], trace.measurement[:100])
         y = trace.measurement[100]
         if case == "prediction":
             f.theta_ = np.full_like(f.theta_, np.inf)
-        elif case == "denominator":
-            f.L_ = np.zeros_like(f.L_)
         elif case == "gain":
             f.L_ = f.L_ * 1e160
         else:
@@ -233,13 +239,77 @@ class TestSharedKernel:
         # the last two cases overflow on purpose, and numpy's overflow
         # warning is not what is under test
         message = {"prediction": "prediction became non-finite",
-                   "denominator": "gain denominator collapsed",
                    "gain": "gain became non-finite",
                    "parameter": "parameter vector became non-finite"}[case]
+        if (name, case) == ("rvm_rls", "parameter"):
+            # RvmRls squares the residual into its variance estimate before
+            # it absorbs the sample, so that guard fires first
+            message = "variance estimate became non-finite"
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericalDivergenceError, match=message) as err:
             f.step(trace.times[100], y)
         assert err.value.step_index == 100
+
+    @pytest.mark.parametrize("name", list(RLS_FAMILY))
+    def test_forgetting_below_the_gain_floor_refused_at_fit(self, name,
+                                                            benchmark_trace_outliers):
+        # lambda >= 1e-12 keeps every gain denominator lambda + phi^T P phi
+        # at 1e-12 or more, so the factor update needs no floor of its own
+        trace = benchmark_trace_outliers
+        message = {"rls": "forgetting must lie in [1e-12, 1], got 1e-13",
+                   "gvff_rls": "need 1e-12 <= lambda_min <= lambda_init <= lambda_max <= 1",
+                   "rvm_rls": "need 1e-12 <= lambda_min <= lambda_max <= 1"}[name]
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            RLS_FAMILY[name](1e-13).fit(trace.times[:100], trace.measurement[:100])
+        f = RLS_FAMILY[name](1e-12).fit(trace.times[:100], trace.measurement[:100])
+        f.step(trace.times[100], trace.measurement[100])
+
+    @pytest.mark.parametrize("name", ["rls_residual", "gvff_rls_residual", "rvm_rls"])
+    def test_tiny_window_variance_refused_for_a_residual_factor(self, name, rng):
+        # a subnormal window variance scales the factor so far down that
+        # phi^T P phi underflows to 0, which the factor update divides by
+        t = np.arange(100.0)
+        y = 1e-161 * rng.standard_normal(100)
+        variance = batch_least_squares(t / 100.0, y, 4).residual_variance
+        assert 0.0 < variance < np.finfo(float).tiny
+        with pytest.raises(InvalidInputError, match="needs a residual variance >= 2.2"):
+            RLS_VARIANTS[name]().fit(t, y)
+        StaticRls().fit(t, y)  # the "gram" factor does not scale with it
+
+    def test_a_trace_that_passes_fit_fails_only_by_divergence(
+            self, benchmark_trace_outliers, benchmark_trace_clean):
+        # on finite, strictly increasing samples whose window fit accepts,
+        # run raises nothing but a NumericalDivergenceError at a post-window
+        # step; the probes square past the float range in the window and
+        # after it, and shrink a window's variance below the normal floats;
+        # numpy's overflow warnings on the way are not what is under test
+        probes = {"window_spike": (benchmark_trace_outliers, 50, 1e200),
+                  "step_spike": (benchmark_trace_clean, 300, 1e160)}
+        traces = {}
+        for probe, (trace, index, value) in probes.items():
+            traces[probe] = (trace.times, trace.measurement.copy())
+            traces[probe][1][index] = value
+        traces["tiny_window"] = (benchmark_trace_clean.times,
+                                 benchmark_trace_clean.measurement * 1e-161)
+        failures = []
+        for (name, make), (probe, (times, y)) in itertools.product(RLS_VARIANTS.items(),
+                                                                 traces.items()):
+            with np.errstate(over="ignore", invalid="ignore"):
+                try:
+                    make().fit(times[:100], y[:100])
+                except InvalidInputError:
+                    continue
+                try:
+                    predictions = make().run(times, y)
+                except NumericalDivergenceError as exc:
+                    if exc.step_index < 100:
+                        failures.append((name, probe, repr(exc)))
+                except Exception as exc:  # anything else breaks the invariant
+                    failures.append((name, probe, repr(exc)))
+                else:
+                    if not np.isfinite(predictions).all():
+                        failures.append((name, probe, "non-finite prediction"))
+        assert failures == []
 
 
 class TestBootstrapParticleFilter:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terrafilter import (BootstrapParticleFilter, GvffRls, NormalizedLms,
+from terrafilter import (BootstrapParticleFilter, GvffRls, InvalidInputError, NormalizedLms,
                          NumericalDivergenceError, RvmRls, ScenarioConfig,
                          StaticRls, TerraFilterError, synthesize)
 from terrafilter.bench import load_config
@@ -137,8 +137,8 @@ FAILING = dict(RECURSIVE, rvm_rls_no_gate=CASES["rvm_rls_no_gate"],
 DIVERGES = "parameter vector became non-finite (step_index=111)"
 RAISES = {
     "rls": {3: DIVERGES}, "gvff_rls": {3: DIVERGES},
-    "rvm_rls_no_gate": {3: DIVERGES},
-    "rvm_rls_gram": {6: "sigma2_prev must be finite"},
+    # the squared spike overflows the variance estimate before the parameters
+    "rvm_rls_no_gate": {3: "variance estimate became non-finite (step_index=111)"},
     # a level tracker has no basis to overflow, and 1e80 + 151 == 1e80 + 150
     "lms": {7: "time must increase strictly (got 1e+80 after 1e+80)"},
 }
@@ -153,6 +153,7 @@ def test_failing_rows_match_run_and_leave_the_others(case, scenario_traces):
     raises = {1: "time and measurement must be finite",
               2: "trace shorter than the initialization window (60 < 100)",
               4: "time must increase strictly (got 104.0 after 104.0)",
+              6: "the residual variance overflows: the measurements are too large",
               7: "prediction became non-finite (step_index=150)",
               **RAISES.get(case, {})}
     assert {r: str(expected[r]) for r in raises} == raises
@@ -284,23 +285,25 @@ def test_marked_gated_row_that_step_survives_gets_runs_columns(scenario_traces,
 
 
 @pytest.mark.parametrize("case", ["rvm_rls", "rls_residual", "gvff_rls_residual"])
-def test_zero_window_rows_go_through_run(case, scenario_traces, monkeypatch):
-    # a window of exact zeros fits a zero "residual" factor: its rows have no
-    # update direction, so the lockstep marks them and run decides them
+def test_zero_window_refused_at_fit(case, scenario_traces):
+    # a window of exact zeros would fit a zero "residual" factor, which has
+    # no update direction: fit refuses it, alone and as a lockstep row's
+    # outcome, and the other rows run on
     variance, times, measurements = scenario_traces
     times, measurements = times[:4], [y.copy() for y in measurements[:4]]
     for r in (1, 3):
         measurements[r][:100] = 0.0
     make = CASES[case]
-    cls = type(make(variance))
-    reruns = []
-    run_detailed = cls.run_detailed
-    monkeypatch.setattr(cls, "run_detailed", lambda self, *trace: (
-        reruns.append(trace) or run_detailed(self, *trace)))
+    message = ("covariance_init='residual' needs a residual variance "
+               ">= 2.2250738585072014e-308, got 0.0")
+    with pytest.raises(InvalidInputError) as err:
+        make(variance).fit(times[1][:100], measurements[1][:100])
+    assert str(err.value) == message
     got = _predictions(make(variance), times, measurements)
-    assert [any(y is measurements[r] for r in (1, 3)) for _, y in reruns] == [True, True]
-    for t, y, row in zip(times, measurements, got):
-        _assert_same(_single(make(variance).run, t, y), row)
+    for r, (t, y, row) in enumerate(zip(times, measurements, got)):
+        expected = _single(make(variance).run, t, y)
+        assert (str(expected) == message) == (r in (1, 3))
+        _assert_same(expected, row)
 
 
 # -- property: any corruption of a small batch, and lockstep still says what

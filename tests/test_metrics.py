@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from terrafilter import (InvalidInputError, MetricsReport, NormalizedLms,
+from terrafilter import (InvalidInputError, MetricsReport, NormalizedLms, RvmRls,
                          ScenarioConfig, max_error, mse, synthesize, time_step,
                          variance_ratio)
 from terrafilter.metrics import reports_from_csv, reports_to_csv
@@ -165,7 +165,9 @@ class TestTimeStep:
         lambda: 5, lambda: None, _NoStep,
         lambda: type("FloatWindow", (TestTimeStep._NoOp,), {"init_window": 10.0})(),
         lambda: type("BoolWindow", (TestTimeStep._NoOp,), {"init_window": True})(),
-    ], ids=["int", "None", "no_step", "float_init_window", "bool_init_window"])
+        # a filter class carries an integer init_window and a fit and a step
+        lambda: RvmRls,
+    ], ids=["int", "None", "no_step", "float_init_window", "bool_init_window", "class"])
     def test_factory_must_build_a_filter(self, factory, short_trace):
         with pytest.raises(InvalidInputError, match="filter_factory must return a filter"):
             time_step(factory, short_trace)

@@ -124,3 +124,11 @@ class TestBatchLeastSquares:
         # numpy warning (the test suite turns RuntimeWarning into an error)
         with pytest.raises(InvalidInputError, match="overflows"):
             batch_least_squares(np.arange(10.0) * 1e78, np.ones(10), 4)
+
+    def test_overflowing_residual_variance_rejected(self):
+        # finite samples whose residuals square past the float range: no
+        # filter may start from an infinite variance
+        ys = np.ones(10)
+        ys[5] = 1e200
+        with pytest.raises(InvalidInputError, match="the residual variance overflows"):
+            batch_least_squares(np.arange(10.0), ys, 1)

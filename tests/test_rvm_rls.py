@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from terrafilter import (InvalidInputError, NotFittedError, RvmRls,
+from terrafilter import (InvalidInputError, NotFittedError, NumericalDivergenceError, RvmRls,
                          ScenarioConfig, batch_least_squares, mse, synthesize,
                          variance_cost)
 from terrafilter.base import _Rows
@@ -163,6 +163,16 @@ class TestStep:
         f = self._fitted()
         with pytest.raises(InvalidInputError):
             f.step(31.0, np.inf)
+
+    def test_variance_overflow_is_a_divergence_at_its_step(self, benchmark_trace_clean):
+        # the spike passes the disabled gate and its square overflows the
+        # variance estimate: a divergence at that step, not bad input later
+        trace = benchmark_trace_clean
+        y = trace.measurement.copy()
+        y[300] = 1e160
+        with pytest.raises(NumericalDivergenceError,
+                           match=r"variance estimate became non-finite \(step_index=300\)"):
+            RvmRls(outlier_gate=False).run(trace.times, y)
 
     def test_batch_equivalence_window(self, rng):
         # lambda pinned at 1, gate off: samples 31..60 reproduce the batch

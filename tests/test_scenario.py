@@ -240,6 +240,11 @@ class TestTraceExport:
             write_columns(tmp_path / "x.csv", ["a"], [np.arange(3), np.arange(3)])
         assert not (tmp_path / "x.csv").exists()
 
+    def test_no_columns_rejected_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(InvalidInputError, match="needs at least one column"):
+            write_columns(tmp_path / "x.csv", [], [])
+        assert not (tmp_path / "x.csv").exists()
+
     def test_integer_path_rejected(self):
         # open() takes an integer as a file descriptor, writes to it and
         # closes it: True is stdout
