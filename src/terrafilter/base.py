@@ -7,8 +7,6 @@ round-trip them, fitted state lives in trailing-underscore attributes, and
 """
 
 import dataclasses
-import functools
-import inspect
 import math
 import numbers
 import sys
@@ -23,15 +21,6 @@ from .regression import MAX_DEGREE, _as_trace, batch_least_squares, poly_basis
 # The smallest forgetting factor a filter takes: every gain denominator
 # lambda + phi^T P phi is then at least this too.
 GAIN_DENOMINATOR_FLOOR = 1e-12
-
-
-@functools.cache
-def constructor_spec(cls):
-    """``(parameters, type hints)`` of the constructor of ``cls``, computed
-    once per class: the parameters as ``inspect.signature(cls)`` lists them,
-    the hints as ``typing.get_type_hints`` resolves them, rules included."""
-    return (inspect.signature(cls).parameters,
-            typing.get_type_hints(cls.__init__, include_extras=True))
 
 
 class Interval:
@@ -105,16 +94,15 @@ def require_type(name, value, cls):
 
 
 def check_numbers(obj):
-    """Check the fields of ``obj`` by the annotations of its constructor: an
+    """Check the fields of the dataclass ``obj`` by their annotations: an
     ``int`` holds an integer other than a bool, a ``float`` (``float |
     None``: None, or) a number that ``is_finite_number`` takes, a ``tuple``
     of floats such entries, as many as it declares, a ``bool``, ``str`` or
     other class an instance of it, and ``Annotated[T, *rules]`` a ``T`` in
     each rule. Raises an InvalidInputError naming the first field that does
     not, as in ``mu must lie in (0, 2), got 5``."""
-    params, hints = constructor_spec(type(obj))
-    for name in params:
-        tp, value = hints.get(name), getattr(obj, name)
+    for f in dataclasses.fields(obj):
+        name, tp, value = f.name, f.type, getattr(obj, f.name)
         if typing.get_origin(tp) in (types.UnionType, typing.Union):  # ``T | None``
             tp = None if value is None else typing.get_args(tp)[0]
         tp, *rules = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp,)
@@ -137,10 +125,9 @@ def check_numbers(obj):
 
 
 def all_finite(x: np.ndarray) -> bool:
-    """True when every entry of the vector ``x`` is finite. x . x decides in
-    one BLAS call unless a finite entry beyond ~1e154 overflows the square;
-    only then are the entries checked one by one."""
-    return math.isfinite(x.dot(x)) or bool(np.isfinite(x).all())
+    """True when every entry of the vector ``x`` is finite, checked exactly,
+    with no arithmetic that could overflow."""
+    return all(map(math.isfinite, x.tolist()))
 
 
 class StreamingFilter:
@@ -269,6 +256,10 @@ class StreamingFilter:
         """
         return self.run_detailed(times, measurements)["prediction"]
 
+    # numpy's floating-point warnings are off for a whole run (``step``
+    # alone keeps the caller's): an overflow ends it at a typed guard, and
+    # a lockstep row's overflow cannot stop the other rows
+    @np.errstate(all="ignore")
     def run_detailed(self, times, measurements) -> dict:
         """``run`` with every per-step column: a dict of the
         ``_LOCKSTEP_COLUMNS`` arrays, one ``_step_columns`` row per
@@ -319,15 +310,13 @@ class StreamingFilter:
         if mismatch:
             raise InvalidInputError("times_list and measurements_list must match in length")
         traces = list(zip(times_list, measurements_list))
-        # numpy's floating-point warnings stay off: a guard marks a row's
-        # overflow, which must not stop the other rows, and run words it
-        with np.errstate(all="ignore"):
-            outcomes = ([None] * len(traces)
-                        if self._lockstep_step is None or len(traces) < 2
-                        else self._lockstep(traces))
-            return [_outcome(self._copy().run_detailed, *trace) if out is None else out
-                    for trace, out in zip(traces, outcomes)]
+        outcomes = ([None] * len(traces)
+                    if self._lockstep_step is None or len(traces) < 2
+                    else self._lockstep(traces))
+        return [_outcome(self._copy().run_detailed, *trace) if out is None else out
+                for trace, out in zip(traces, outcomes)]
 
+    @np.errstate(all="ignore")  # as in run_detailed
     def _lockstep(self, traces) -> list:
         """Advance one fitted copy per trace of ``traces`` together; returns
         per trace its columns, the exception its fit raised, or None where

@@ -9,11 +9,11 @@ import re
 import time
 import types
 import typing
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import __version__
-from .base import _outcome, constructor_spec, describe, is_finite_number
+from .base import _outcome, describe, is_finite_number
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
@@ -30,8 +30,7 @@ FILTER_KINDS = {
 }
 
 CONFIG_VERSION = 1
-TIMED_STEPS = 400
-_NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+_NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 
 @dataclass(frozen=True)
@@ -70,7 +69,7 @@ class ExperimentConfig:
                                   "synthesized with its seed from config.seeds")
         for key in ("scenarios", "algorithms"):
             names = [item.name for item in getattr(self, key)]
-            if len(set(names)) != len(names) or not all(map(_NAME_RE.match, names)):
+            if len(set(names)) != len(names) or not all(map(_NAME_RE.fullmatch, names)):
                 raise ConfigError(
                     f"config.{key}: names must be unique and filesystem-safe, got {names}")
         for i, spec in enumerate(self.algorithms):
@@ -147,8 +146,8 @@ def _build(value, tp, path: str):
     """Build a value of annotated type ``tp`` from parsed JSON: an int takes
     only an integer, a float an integer or a finite number (stored as
     float), a bool, str or dict only its own type, and a dataclass (a config
-    object or a filter) an object of its constructor's parameters, each
-    typed by its annotation. A mismatch is a ConfigError naming the path."""
+    object or a filter) an object of its fields, each typed by its
+    annotation. A mismatch is a ConfigError naming the path."""
     tp = typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Annotated else tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # ``T | None``
@@ -168,14 +167,14 @@ def _build(value, tp, path: str):
         _expect(type(value) is tp, path, tp.__name__, value)
         return value
     _expect(isinstance(value, dict), path, "an object", value)
-    params, hints = constructor_spec(tp)
+    params = {f.name: f for f in fields(tp)}
     errors = [f"{path}.{k}: unknown key" for k in sorted(set(value) - set(params))]
-    errors += [f"{path}.{k}: missing" for k, p in params.items()
-               if k not in value and p.default is p.empty]
+    errors += [f"{path}.{k}: missing" for k, f in params.items()
+               if k not in value and f.default is f.default_factory is MISSING]
     if errors:
         raise ConfigError("; ".join(errors))
     try:
-        return tp(**{k: _build(v, hints[k], f"{path}.{k}") for k, v in value.items()})
+        return tp(**{k: _build(v, params[k].type, f"{path}.{k}") for k, v in value.items()})
     except InvalidInputError as exc:  # a dataclass's __post_init__ checks
         raise ConfigError(f"{path}: {exc}") from exc
 
@@ -383,10 +382,7 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
             t0 = time.perf_counter()
             try:
                 sr[(scenario.name, spec.name)] = time_step(
-                    lambda spec=spec, scenario=scenario: build_filter(
-                        spec, scenario, seed),
-                    trace, timed_steps=TIMED_STEPS,
-                )
+                    build_filter(spec, scenario, seed), trace)
                 status = CellStatus(scenario.name, spec.name, seed, "ok")
             except Exception as exc:  # recorded; the row's sr_ms becomes NaN
                 status = _error_status(scenario.name, spec.name, seed, exc, "timing: ")

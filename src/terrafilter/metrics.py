@@ -10,13 +10,12 @@ import csv
 import io
 import itertools
 import math
-import numbers
 import time
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .base import describe, is_finite_number, require_type
+from .base import StreamingFilter, describe, is_finite_number, require_type
 from .exceptions import InvalidInputError
 from .regression import _as_trace
 from .scenario import ScenarioTrace
@@ -89,51 +88,34 @@ def max_error(pred, ref) -> float:
     return _error_metric("max_error", lambda err: np.max(np.abs(err)), pred, ref)
 
 
-# time_step's timed runs; a warm-up run before them is discarded
+# the SR definition: a discarded warm-up, then TIMED_RUNS timed runs
 TIMED_RUNS = 3
+TIMED_STEPS = 400  # the most steps one run times
 
 
-def time_step(filter_factory, trace, timed_steps: int | None = None) -> float:
-    """Mean single-step wall time in milliseconds.
-
-    Builds a fresh filter per run via ``filter_factory()``, fits it on the
-    trace's leading init window, and times the bare step loop with the
-    monotonic clock. One warm-up run is discarded; the median of the
-    ``TIMED_RUNS`` timed runs is returned. ``timed_steps`` caps the number
-    of steps per run: None, or an integer of at least 1. The factory's
-    first product must look like a filter: an integer ``init_window`` and
-    a callable ``fit`` and ``step``, and not be a class.
-    """
-    if not callable(filter_factory):
-        raise InvalidInputError(
-            f"filter_factory must be callable, got {type(filter_factory).__name__}")
+def time_step(filt, trace) -> float:
+    """Mean single-step wall time of ``filt`` in milliseconds: each run
+    fits a fresh ``filt._copy()`` on the trace's init window and times its
+    bare step loop with the monotonic clock; the median of the timed runs
+    is returned. ``filt`` itself is left as it was."""
+    require_type("filt", filt, StreamingFilter)
     require_type("trace", trace, ScenarioTrace)
-    if timed_steps is not None and (isinstance(timed_steps, bool)
-                                    or not isinstance(timed_steps, numbers.Integral)
-                                    or timed_steps < 1):
-        raise InvalidInputError(
-            f"timed_steps must be None or an integer >= 1, got {describe(timed_steps)}")
+    filt._validate_params()
     times, measurements = _as_trace(trace.times, trace.measurement,
                                     "trace.times and trace.measurement")
-    probe = filter_factory()
-    n0 = getattr(probe, "init_window", None)
-    if (isinstance(probe, type) or isinstance(n0, bool) or not isinstance(n0, numbers.Integral)
-            or not (callable(getattr(probe, "fit", None))
-                    and callable(getattr(probe, "step", None)))):
-        raise InvalidInputError("filter_factory must return a filter (an integer "
-                                f"init_window, a fit and a step), got {type(probe).__name__}")
+    n0 = filt.init_window
     if len(times) <= n0:
         raise InvalidInputError("trace too short to time")
-    stop = len(times) if timed_steps is None else min(len(times), n0 + timed_steps)
+    stop = min(len(times), n0 + TIMED_STEPS)
     span = stop - n0
 
     samples = []
     for rep in range(TIMED_RUNS + 1):
-        filt = filter_factory()
-        filt.fit(times[:n0], measurements[:n0])
+        fresh = filt._copy()
+        fresh.fit(times[:n0], measurements[:n0])
         t0 = time.perf_counter()
         for j in range(n0, stop):
-            filt.step(times[j], measurements[j])
+            fresh.step(times[j], measurements[j])
         elapsed = time.perf_counter() - t0
         if rep > 0:  # first pass is warm-up
             samples.append(elapsed / span * 1e3)

@@ -300,6 +300,12 @@ REJECTED = {
         ["config.algorithms[0].params.step_size"]),
     "sample_count_10_30": (_set("scenarios", 0, "sample_count", value=10**30),
                            ["config.scenarios[0]", "sample_count"]),
+    # a name becomes part of file names and csv headers: a trailing newline
+    # (which a regex's "$" matches before) is no filesystem-safe character
+    "algorithm_name_newline": (_set("algorithms", 2, "name", value="lms\n"),
+                               ["config.algorithms", "filesystem-safe"]),
+    "scenario_name_newline": (_set("scenarios", 0, "name", value="terrain_outliers\n"),
+                              ["config.scenarios", "filesystem-safe"]),
 }
 
 # (index in configs/benchmark.json, filter, parameter, value): each one is

@@ -51,7 +51,7 @@ VALID = {
     "next_waypoint": {"current": (0.0, 0.0, 0.0), "geom": GEOMETRY},
     "synthesize": {"config": ScenarioConfig(sample_count=20, clean_prefix=10)},
     "terrain_height": {"t": [0.0, 1.0]},
-    "time_step": {"filter_factory": NormalizedLms, "trace": TRACE},
+    "time_step": {"filt": NormalizedLms(), "trace": TRACE},
     "variance_ratio": {**PAIR, "sigma2": 0.09},
     "waypoint_std": {"geom": GEOMETRY},
     "write_trace_csv": {"trace": TRACE, "path": "trace.csv"},
@@ -176,11 +176,11 @@ def test_terrain_height_takes_only_terrain_params():
 
 def test_time_step_takes_only_a_trace():
     with pytest.raises(InvalidInputError, match="trace must be a ScenarioTrace, got dict"):
-        time_step(NormalizedLms, {"times": TRACE.times})
+        time_step(NormalizedLms(), {"times": TRACE.times})
 
 
-def test_time_step_takes_only_a_callable_factory():
-    with pytest.raises(InvalidInputError, match="filter_factory must be callable, got int"):
+def test_time_step_takes_only_a_filter():
+    with pytest.raises(InvalidInputError, match="filt must be a StreamingFilter, got int"):
         time_step(5, TRACE)
 
 

@@ -7,6 +7,7 @@ fails here too.
 """
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,11 +19,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from terrafilter import (BootstrapParticleFilter, ConfigError, InvalidInputError, RvmRls,
-                         ScenarioConfig, TerrainParams, TerraFilterError,
+from terrafilter import (BootstrapParticleFilter, ConfigError, InvalidInputError,
+                         NormalizedLms, RvmRls, ScenarioConfig, TerrainParams, TerraFilterError,
                          WaypointGeometry, batch_least_squares, max_error, mse,
                          next_waypoint, synthesize, variance_ratio, waypoint_std)
-from terrafilter.base import Interval, OneOf, StreamingFilter, constructor_spec
+from terrafilter import bench
+from terrafilter.base import Interval, OneOf, StreamingFilter
 from terrafilter.bench import FILTER_KINDS, AlgorithmSpec, ExperimentConfig, load_config
 from terrafilter.metrics import (REPORT_FIELDS, aggregate_csv, render_tables,
                                  reports_from_csv)
@@ -133,6 +135,22 @@ def test_declared_rule_at_its_ends_through_load_config(cls, name, value, verb, t
             load_config(path)
 
 
+def test_fields_checked_and_parsed_whatever_the_constructor():
+    # the checks and the config parser read a filter's dataclass fields, not
+    # its constructor's signature, so a subclass that takes **params works
+    class Tuned(NormalizedLms):
+        def __init__(self, **params):
+            super().__init__(**{"mu": 0.3, **params})
+
+    trace = synthesize(ScenarioConfig(sample_count=200, clean_prefix=100))
+    assert Tuned().fit(trace.times[:100], trace.measurement[:100]).is_fitted_
+    with pytest.raises(InvalidInputError, match=r"^mu must lie in \(0, 2\), got 5"):
+        Tuned(mu=5).fit(trace.times[:100], trace.measurement[:100])
+    assert bench._build({"mu": 0.5}, Tuned, "params").mu == 0.5
+    with pytest.raises(ConfigError, match=r"^params\.bogus: unknown key"):
+        bench._build({"bogus": 1}, Tuned, "params")
+
+
 def assert_fails_closed(fn, *args):
     """``fn(*args)`` either raises a TerraFilterError or returns only
     finite numbers."""
@@ -220,9 +238,9 @@ JSON = LEAVES | st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3)
                              max_leaves=5)
 # an added key is mostly one that some config object takes
 KEYS = st.sampled_from(sorted(
-    {"version", "workers"} | {name for cls in (ExperimentConfig, ScenarioConfig,
-                                               TerrainParams, *FILTER_KINDS.values())
-                              for name in constructor_spec(cls)[0]})) | st.text(max_size=5)
+    {"version", "workers"} | {f.name for cls in (ExperimentConfig, ScenarioConfig,
+                                                 TerrainParams, *FILTER_KINDS.values())
+                              for f in dataclasses.fields(cls)})) | st.text(max_size=5)
 
 
 def _slots(node):

@@ -224,10 +224,31 @@ def test_one_overflowing_trace_fails_as_in_a_batch(case, scenario_traces):
     make = FAILING[case]
     (alone,) = _predictions(make(variance), [times[0]], [y])
     batch = _predictions(make(variance), times[:2], [y, measurements[1]])
+    try:
+        ran = make(variance).run(times[0], y)
+    except Exception as exc:  # a raw RuntimeWarning here fails the comparison
+        ran = exc
     _assert_same(batch[0], alone)
+    _assert_same(batch[0], ran)
     if case == "rls":
         assert isinstance(alone, NumericalDivergenceError)
         assert str(alone) == DIVERGES
+
+
+@pytest.mark.parametrize("case", ["rls", "gvff_rls"])
+def test_finite_parameters_beyond_1e154_step_as_in_a_batch(case, scenario_traces):
+    # step keeps numpy's warning settings, which tier-1 turns into errors:
+    # the parameter guard must not overflow on parameters whose square would
+    variance, times, measurements = scenario_traces
+    y = measurements[0].copy()
+    y[111] = 1e160
+    filt = RECURSIVE[case](variance)
+    n0 = filt.init_window
+    filt.fit(times[0][:n0], y[:n0])
+    stepped = [filt.step(t, m) for t, m in zip(times[0][n0:], y[n0:])]
+    assert np.abs(filt.theta_).max() > 1e154
+    batch = _predictions(RECURSIVE[case](variance), times[:2], [y, measurements[1]])
+    _assert_same(batch[0], np.array(stepped))
 
 
 def test_particle_filter_runs_each_trace_alone(scenario_traces):

@@ -4,7 +4,7 @@ import pytest
 from terrafilter import (InvalidInputError, MetricsReport, NormalizedLms, RvmRls,
                          ScenarioConfig, max_error, mse, synthesize, time_step,
                          variance_ratio)
-from terrafilter.metrics import reports_from_csv, reports_to_csv
+from terrafilter.metrics import TIMED_RUNS, TIMED_STEPS, reports_from_csv, reports_to_csv
 from terrafilter.scenario import ScenarioTrace
 
 
@@ -121,7 +121,11 @@ def short_trace():
 
 
 class TestTimeStep:
-    class _NoOp:
+    class _NoOp(NormalizedLms):
+        def step(self, t, y):
+            return 0.0
+
+    class _Duck:
         init_window = 10
 
         def fit(self, t, y):
@@ -131,52 +135,61 @@ class TestTimeStep:
             return 0.0
 
     def test_noop_floor(self, short_trace):
-        sr = time_step(self._NoOp, short_trace)
+        sr = time_step(self._NoOp(), short_trace)
         assert sr < 0.01
 
     def test_repeatability(self, short_trace):
-        a = time_step(lambda: NormalizedLms(), short_trace, timed_steps=200)
-        b = time_step(lambda: NormalizedLms(), short_trace, timed_steps=200)
+        a = time_step(NormalizedLms(), short_trace)
+        b = time_step(NormalizedLms(), short_trace)
         assert abs(a - b) / max(a, b) < 0.5
-
-    @pytest.mark.parametrize("bad", [0, -5, 2.5, True, "400"])
-    def test_bad_timed_steps_rejected_before_any_filter(self, bad, short_trace):
-        built = []
-        with pytest.raises(InvalidInputError, match="timed_steps must be None or an integer"):
-            time_step(lambda: built.append(1) or self._NoOp(), short_trace, timed_steps=bad)
-        assert built == []
-
-    @pytest.mark.parametrize("steps", [1, np.int64(1)], ids=["int", "np.int64"])
-    def test_one_timed_step(self, steps, short_trace):
-        assert time_step(self._NoOp, short_trace, timed_steps=steps) >= 0.0
 
     def test_malformed_trace_rejected(self):
         trace = ScenarioTrace(*[None] * 6, config=ScenarioConfig())
         with pytest.raises(InvalidInputError, match="trace.times and trace.measurement"):
-            time_step(NormalizedLms, trace)
+            time_step(NormalizedLms(), trace)
 
-    class _NoStep:
-        init_window = 10
+    # a filter class and a duck-typed object each carry an integer
+    # init_window, a fit and a step
+    @pytest.mark.parametrize("filt", [5, None, _Duck(), RvmRls],
+                             ids=["int", "None", "duck", "class"])
+    def test_takes_only_a_filter(self, filt, short_trace):
+        with pytest.raises(InvalidInputError, match="filt must be a StreamingFilter"):
+            time_step(filt, short_trace)
 
-        def fit(self, t, y):
-            return self
+    @pytest.mark.parametrize("init_window", [10.0, True],
+                             ids=["float_init_window", "bool_init_window"])
+    def test_params_checked_before_any_run(self, init_window, short_trace):
+        with pytest.raises(InvalidInputError, match="init_window must be an integer"):
+            time_step(NormalizedLms(init_window=init_window), short_trace)
 
-    @pytest.mark.parametrize("factory", [
-        lambda: 5, lambda: None, _NoStep,
-        lambda: type("FloatWindow", (TestTimeStep._NoOp,), {"init_window": 10.0})(),
-        lambda: type("BoolWindow", (TestTimeStep._NoOp,), {"init_window": True})(),
-        # a filter class carries an integer init_window and a fit and a step
-        lambda: RvmRls,
-    ], ids=["int", "None", "no_step", "float_init_window", "bool_init_window", "class"])
-    def test_factory_must_build_a_filter(self, factory, short_trace):
-        with pytest.raises(InvalidInputError, match="filter_factory must return a filter"):
-            time_step(factory, short_trace)
+    def test_leaves_its_filter_as_it_was(self, short_trace):
+        filt = NormalizedLms(mu=0.3)
+        params = filt.get_params()
+        time_step(filt, short_trace)
+        assert filt.get_params() == params
+        assert not hasattr(filt, "is_fitted_")
+
+    @pytest.mark.parametrize("sample_count", [400, 2000])
+    def test_steps_timed(self, sample_count):
+        steps = []
+
+        class Counting(NormalizedLms):
+            def step(self, t, y):
+                steps.append(t)
+                return super().step(t, y)
+
+        trace = synthesize(ScenarioConfig(sample_count=sample_count, clean_prefix=100,
+                                          seed=0))
+        filt = Counting()
+        time_step(filt, trace)
+        span = min(sample_count - filt.init_window, TIMED_STEPS)
+        assert len(steps) == (TIMED_RUNS + 1) * span
 
     def test_too_short(self):
         trace = synthesize(ScenarioConfig(sample_count=10, clean_prefix=0,
                                           outlier_fraction=0.0, seed=0))
-        with pytest.raises(InvalidInputError):
-            time_step(self._NoOp, trace)  # init window consumes everything
+        with pytest.raises(InvalidInputError, match="too short"):
+            time_step(self._NoOp(init_window=10), trace)  # init window consumes everything
 
 
 class TestReportCsv:
