@@ -100,12 +100,15 @@ def check_numbers(obj):
     of floats such entries, as many as it declares, a ``bool``, ``str`` or
     other class an instance of it, and ``Annotated[T, *rules]`` a ``T`` in
     each rule. Raises an InvalidInputError naming the first field that does
-    not, as in ``mu must lie in (0, 2), got 5``."""
+    not, as in ``mu must lie in (0, 2), got 5``, or whose annotation is a
+    string (a postponed annotation), which it cannot check."""
     for f in dataclasses.fields(obj):
         name, tp, value = f.name, f.type, getattr(obj, f.name)
         if typing.get_origin(tp) in (types.UnionType, typing.Union):  # ``T | None``
             tp = None if value is None else typing.get_args(tp)[0]
         tp, *rules = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp,)
+        if isinstance(tp, str):
+            raise InvalidInputError(f"{name} has the string annotation {tp!r}, not a type")
         args = typing.get_args(tp)
         if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
             raise InvalidInputError(f"{name} must be an integer, got {describe(value)}")

@@ -81,7 +81,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{path}.params.seed: the particle filter is "
                                   "seeded with each cell's trace seed")
             for scenario in self.scenarios:
-                params = _filter_params(spec, scenario, self.seeds[0])
+                params = _filter_params(spec, scenario)
                 try:
                     _build(params, cls, f"{path}.params")._validate_params()
                 except InvalidInputError as exc:
@@ -117,20 +117,20 @@ class RunManifest:
         return [c for c in self.timing if c.status != "ok"]
 
 
-def _filter_params(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int) -> dict:
-    """One cell's constructor arguments, with per-scenario params resolved."""
+def _filter_params(spec: AlgorithmSpec, cell: ScenarioConfig) -> dict:
+    """One cell's constructor arguments, from the config of its trace."""
     params = dict(spec.params)
     if params.get("target_noise_variance") == "scenario":
-        params["target_noise_variance"] = scenario.noise_variance
+        params["target_noise_variance"] = cell.noise_variance
     if spec.kind == "pf":
-        params["seed"] = seed
+        params["seed"] = cell.seed
     return params
 
 
-def build_filter(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int):
-    """Instantiate the filter for one cell of a validated config, typed by
-    ``_build`` as the config check typed it."""
-    return _build(_filter_params(spec, scenario, seed), FILTER_KINDS[spec.kind],
+def build_filter(spec: AlgorithmSpec, cell: ScenarioConfig):
+    """Instantiate the filter for one cell of a validated config, from the
+    config ``cell`` of its trace, typed by ``_build`` as the config check typed it."""
+    return _build(_filter_params(spec, cell), FILTER_KINDS[spec.kind],
                   f"{spec.name}.params")
 
 
@@ -220,45 +220,45 @@ def config_hash(config: ExperimentConfig) -> str:
 # -- execution ------------------------------------------------------------
 
 
-def run_cells(spec: AlgorithmSpec, scenario: ScenarioConfig, seeds, traces) -> list:
-    """Run one algorithm's cells over the traces of ``seeds``. Returns, per
-    seed, ``(report_without_sr, columns)`` or the exception the cell failed
-    with; ``columns`` are the cell's ``run_lockstep_detailed`` columns:
-    ``prediction``, and for RvmRls the fig4 columns. Cells whose filters
-    are built alike (every algorithm but the particle filter, whose seed is
-    the cell's) run as one ``run_lockstep_detailed`` call."""
-    params = [_filter_params(spec, scenario, seed) for seed in seeds]
+def run_cells(spec: AlgorithmSpec, traces) -> list:
+    """Run one algorithm's cell on each trace, named by the trace's config.
+    Returns, per trace, ``(report_without_sr, columns)`` or the exception
+    the cell failed with; ``columns`` are the cell's ``run_lockstep_detailed``
+    columns: ``prediction``, and for RvmRls the fig4 columns. Cells whose
+    filters are built alike (every algorithm but the particle filter, whose
+    seed is the cell's) run as one ``run_lockstep_detailed`` call."""
+    params = [_filter_params(spec, trace.config) for trace in traces]
     times = [trace.times for trace in traces]
     measurements = [trace.measurement for trace in traces]
     if all(p == params[0] for p in params):
-        outcomes = build_filter(spec, scenario, seeds[0]).run_lockstep_detailed(
+        outcomes = build_filter(spec, traces[0].config).run_lockstep_detailed(
             times, measurements)
     else:
-        outcomes = [build_filter(spec, scenario, seed).run_lockstep_detailed([t], [y])[0]
-                    for seed, t, y in zip(seeds, times, measurements)]
+        outcomes = [build_filter(spec, trace.config).run_lockstep_detailed([t], [y])[0]
+                    for trace, t, y in zip(traces, times, measurements)]
     return [outcome if isinstance(outcome, Exception) else
-            _outcome(_cell_report, spec, scenario, seed, trace, outcome)
-            for seed, trace, outcome in zip(seeds, traces, outcomes)]
+            _outcome(_cell_report, spec, trace, outcome)
+            for trace, outcome in zip(traces, outcomes)]
 
 
-def _cell_report(spec, scenario, seed, trace, columns):
+def _cell_report(spec, trace, columns):
     predictions = columns["prediction"]
     ref = trace.reference[len(trace) - len(predictions):]
     return MetricsReport(
         algorithm=spec.name,
         sr_ms=0.0,
         mse=mse(predictions, ref),
-        vr=variance_ratio(predictions, ref, scenario.noise_variance),
+        vr=variance_ratio(predictions, ref, trace.config.noise_variance),
         me=max_error(predictions, ref),
-        scenario_id=scenario.name,
-        seed=seed,
+        scenario_id=trace.config.name,
+        seed=trace.config.seed,
     ), columns
 
 
-def run_cell(spec: AlgorithmSpec, scenario: ScenarioConfig, seed: int, trace):
+def run_cell(spec: AlgorithmSpec, trace):
     """One cell: ``run_cells`` on a single trace, raising the cell's
     error."""
-    outcome = run_cells(spec, scenario, [seed], [trace])[0]
+    outcome = run_cells(spec, [trace])[0]
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
@@ -284,7 +284,7 @@ def _run_chunk(scenario: ScenarioConfig, seeds, algorithms, out_dir=None):
     for spec in algorithms:
         t0 = time.perf_counter()
         try:
-            cells = run_cells(spec, scenario, seeds, traces)
+            cells = run_cells(spec, traces)
         except Exception as exc:  # crash isolation: one bad algorithm never aborts the run
             cells = [exc] * len(seeds)
         duration_ms = (time.perf_counter() - t0) * 1e3 / len(seeds)
@@ -299,7 +299,7 @@ def _run_chunk(scenario: ScenarioConfig, seeds, algorithms, out_dir=None):
     if out_dir is not None:
         fig4 = next((a.name for a in algorithms if a.kind == "rvm_rls"), None)
         for seed, trace in zip(seeds, traces):
-            _emit_trace_files(out_dir, scenario, seed, trace, columns[seed], fig4)
+            _emit_trace_files(out_dir, trace, columns[seed], fig4)
     return results
 
 
@@ -382,7 +382,7 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
             t0 = time.perf_counter()
             try:
                 sr[(scenario.name, spec.name)] = time_step(
-                    build_filter(spec, scenario, seed), trace)
+                    build_filter(spec, trace.config), trace)
                 status = CellStatus(scenario.name, spec.name, seed, "ok")
             except Exception as exc:  # recorded; the row's sr_ms becomes NaN
                 status = _error_status(scenario.name, spec.name, seed, exc, "timing: ")
@@ -412,14 +412,14 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     return manifest
 
 
-def _emit_trace_files(out, scenario, seed, trace, columns, fig4):
-    """One seed's trace csv plus plot-ready figure files from ``columns``,
-    the columns of each of its successful cells by algorithm name: the
+def _emit_trace_files(out, trace, columns, fig4):
+    """One trace's csv plus plot-ready figure files from ``columns``, the
+    columns of each of its successful cells by algorithm name: the
     diagnostic columns of the ``fig4`` algorithm's cell (adaptive lambda
     and variance series) when that cell succeeded, overlaid predictions,
     errors."""
     figs_dir = Path(out) / "figs"
-    name = f"{scenario.name}_{seed}.csv"
+    name = f"{trace.config.name}_{trace.config.seed}.csv"
     write_trace_csv(trace, Path(out) / "traces" / f"trace_{name}")
 
     diagnostics = columns.get(fig4)

@@ -101,8 +101,7 @@ def time_step(filt, trace) -> float:
     require_type("filt", filt, StreamingFilter)
     require_type("trace", trace, ScenarioTrace)
     filt._validate_params()
-    times, measurements = _as_trace(trace.times, trace.measurement,
-                                    "trace.times and trace.measurement")
+    times, measurements = trace.times, trace.measurement
     n0 = filt.init_window
     if len(times) <= n0:
         raise InvalidInputError("trace too short to time")

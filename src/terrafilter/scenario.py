@@ -7,7 +7,7 @@ measurements corrupted by a configurable fraction of impulsive outliers.
 
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Annotated
 
 import numpy as np
@@ -112,9 +112,11 @@ class ScenarioConfig:
         return replace(self, seed=seed)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioTrace:
-    """Synthesized arrays plus the configuration that produced them."""
+    """Synthesized arrays plus the configuration that produced them, checked
+    when built: each array is 1-D, of a boolean, integer or float dtype, and
+    as long as ``times``."""
 
     times: np.ndarray
     terrain: np.ndarray
@@ -123,6 +125,16 @@ class ScenarioTrace:
     outlier_mask: np.ndarray
     injected_outliers: np.ndarray
     config: ScenarioConfig
+
+    def __post_init__(self):
+        check_numbers(self)
+        for f in fields(self):
+            column = getattr(self, f.name)
+            if f.type is np.ndarray and not (column.ndim == 1 and column.dtype.kind in "biuf"
+                                             and len(column) == len(self.times)):
+                raise InvalidInputError(
+                    f"{f.name} must be a 1-D numeric array as long as times, "
+                    f"got shape {column.shape} and dtype {column.dtype}")
 
     def __len__(self):
         return len(self.times)
@@ -185,29 +197,7 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
 def write_columns(path, header, columns) -> None:
     """Write equal-length 1-D columns as comma-separated text: the header
     line, then one line per row. Integer and boolean columns print as
-    integers, the rest at full double precision (``%.17g``). ``path`` is a
-    str, bytes or os.PathLike file path: ``open`` would take an integer as a
-    file descriptor and close it. Before the file is opened, no column, or
-    one that is not a 1-D boolean, integer or float array as long as the
-    first, is an InvalidInputError (naming the column's header)."""
-    if not isinstance(path, (str, bytes, os.PathLike)):
-        raise InvalidInputError(f"path must be a file path (a str, bytes or os.PathLike), "
-                                f"got {type(path).__name__}")
-    columns = list(columns)
-    if len(header) != len(columns):
-        raise InvalidInputError(f"{len(header)} headers for {len(columns)} columns")
-    if not columns:
-        raise InvalidInputError("write_columns needs at least one column")
-    for i, (name, column) in enumerate(zip(header, columns)):
-        try:
-            columns[i] = column = np.asarray(column)
-        except (TypeError, ValueError):  # a ragged sequence
-            column = np.asarray(None)
-        if not (column.ndim == 1 and column.dtype.kind in "biuf"
-                and len(column) == len(columns[0])):
-            raise InvalidInputError(
-                f"column {name} must be a 1-D numeric array as long as the first "
-                f"column, got shape {column.shape} and dtype {column.dtype}")
+    integers, the rest at full double precision (``%.17g``)."""
     fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
                    for c in columns) + "\n"
     rows = np.column_stack(columns).tolist()
@@ -217,7 +207,13 @@ def write_columns(path, header, columns) -> None:
 
 
 def write_trace_csv(trace: ScenarioTrace, path) -> None:
+    """Write the trace's ``TRACE_HEADER`` columns to ``path``, a str, bytes
+    or os.PathLike file path: ``open`` would take an integer as a file
+    descriptor and close it."""
     require_type("trace", trace, ScenarioTrace)
+    if not isinstance(path, (str, bytes, os.PathLike)):
+        raise InvalidInputError(f"path must be a file path (a str, bytes or os.PathLike), "
+                                f"got {type(path).__name__}")
     write_columns(path, TRACE_HEADER, [trace.times, trace.terrain,
                                        trace.reference, trace.measurement,
                                        trace.outlier_mask])

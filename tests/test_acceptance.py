@@ -256,17 +256,8 @@ def test_criterion_10_determinism(matrix, tmp_path_factory):
     config.emit_traces = False
     run_experiments(config, out2)
 
-    def strip_sr(text):
-        lines = text.strip().split("\n")
-        header = lines[0].split(",")
-        drop = [i for i, h in enumerate(header) if "sr_ms" in h]
-        return "\n".join(
-            ",".join(c for i, c in enumerate(line.split(",")) if i not in drop)
-            for line in lines
-        )
-
-    first = strip_sr((matrix.out / "reports.csv").read_text())
-    second = strip_sr((out2 / "reports.csv").read_text())
+    first = strip_timing((matrix.out / "reports.csv").read_text())
+    second = strip_timing((out2 / "reports.csv").read_text())
     ok = first == second
     _verdict(10, f"reports byte-identical outside timing columns: {ok}", ok)
     assert ok

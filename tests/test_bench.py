@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import multiprocessing
@@ -9,8 +10,8 @@ from dataclasses import asdict
 import pytest
 
 from terrafilter import (BootstrapParticleFilter, ConfigError, GvffRls, InvalidInputError,
-                         MetricsReport, NormalizedLms, RvmRls, ScenarioConfig, StaticRls,
-                         synthesize)
+                         MetricsReport, NormalizedLms, NumericalDivergenceError, RvmRls,
+                         ScenarioConfig, StaticRls, synthesize)
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                load_config, run_cell, run_experiments)
@@ -108,11 +109,19 @@ class TestRunExperiments:
         for scenario in config.scenarios:
             for seed in config.seeds:
                 trace = synthesize(scenario.with_seed(seed))
-                direct += [run_cell(spec, scenario, seed, trace)[0]
+                direct += [run_cell(spec, trace)[0]
                            for spec in config.algorithms]
         direct.sort(key=lambda r: (r.scenario_id, r.algorithm, r.seed))
         pooled = strip_timing((tmp_path / "p" / "reports.csv").read_text())
         assert pooled == strip_timing(reports_to_csv(direct))
+
+    def test_run_cell_raises_its_cells_error(self):
+        trace = synthesize(ScenarioConfig(seed=0))
+        spiked = trace.measurement.copy()
+        spiked[300] = 1.7e308
+        with pytest.raises(NumericalDivergenceError) as err:
+            run_cell(AlgorithmSpec("rls", "rls"), dataclasses.replace(trace, measurement=spiked))
+        assert err.value.step_index == 300
 
     def test_outputs_match_golden(self, tmp_path):
         run_experiments(small_config(tmp_path / "a", seeds=(0, 1)))
@@ -271,6 +280,8 @@ REJECTED = {
     "scenario_seed_nonzero": (_set("scenarios", 0, "seed", value=123),
                               ["config.scenarios[0].seed"]),
     "kind_missing": (_drop_kind, ["config.algorithms[0].kind"]),
+    "kind_unknown": (_set("algorithms", 1, "kind", value="kalman"),
+                     ["config.algorithms[1].kind", "unknown algorithm kind 'kalman'"]),
     "particle_count_float": (
         _set("algorithms", 4, "params", value={"particle_count": 100.0}),
         ["config.algorithms[4].params.particle_count"]),
@@ -331,6 +342,10 @@ BAD_FILTER_PARAMS = [
     (2, NormalizedLms, "eps", 10**400),
     (4, BootstrapParticleFilter, "measurement_std", 10**400),
     (1, StaticRls, "scale_divisor", 10**400),
+    # init_window must be at least degree + 2 (lms is degree 0, the rest 4)
+    (0, RvmRls, "init_window", 5), (1, StaticRls, "init_window", 5),
+    (2, NormalizedLms, "init_window", 1), (3, GvffRls, "init_window", 5),
+    (4, BootstrapParticleFilter, "init_window", 5),
 ]
 
 
@@ -588,10 +603,10 @@ class TestCli:
         # dies
         real_run_cells = bench.run_cells
 
-        def dying_run_cells(spec, scenario, seeds, traces):
-            if scenario.name == "t":
+        def dying_run_cells(spec, traces):
+            if traces[0].config.name == "t":
                 os._exit(1)
-            return real_run_cells(spec, scenario, seeds, traces)
+            return real_run_cells(spec, traces)
 
         monkeypatch.setattr(bench, "run_cells", dying_run_cells)
         monkeypatch.setattr(bench, "_usable_cpus", lambda: 1)

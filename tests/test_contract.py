@@ -9,6 +9,7 @@ exemptions run inside every step and keep raw errors (README, *Command
 line*), so a new one shows as a diff here.
 """
 
+import dataclasses
 import inspect
 import math
 import signal
@@ -151,6 +152,16 @@ def test_junk_sample_gives_result_or_typed_error(cls, method, position):
 def test_bool_parameter_takes_only_a_bool():
     with pytest.raises(InvalidInputError, match="outlier_gate must be a bool, got str"):
         RvmRls(outlier_gate="no").run(TRACE.times, TRACE.measurement)
+
+
+def test_string_annotation_refused():
+    # a postponed annotation is a str, which check_numbers cannot check
+    @dataclasses.dataclass(eq=False)
+    class Extended(NormalizedLms):
+        extra: "int" = 1
+
+    with pytest.raises(InvalidInputError, match="extra has the string annotation 'int'"):
+        Extended(extra="a").fit(np.arange(100.0), np.zeros(100))
 
 
 def test_str_field_takes_only_a_str():

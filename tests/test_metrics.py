@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,6 @@ from terrafilter import (InvalidInputError, MetricsReport, NormalizedLms, RvmRls
                          ScenarioConfig, max_error, mse, synthesize, time_step,
                          variance_ratio)
 from terrafilter.metrics import TIMED_RUNS, TIMED_STEPS, reports_from_csv, reports_to_csv
-from terrafilter.scenario import ScenarioTrace
 
 
 def _report(algorithm="a", scenario="s", seed=0, **kw):
@@ -143,10 +144,10 @@ class TestTimeStep:
         b = time_step(NormalizedLms(), short_trace)
         assert abs(a - b) / max(a, b) < 0.5
 
-    def test_malformed_trace_rejected(self):
-        trace = ScenarioTrace(*[None] * 6, config=ScenarioConfig())
-        with pytest.raises(InvalidInputError, match="trace.times and trace.measurement"):
-            time_step(NormalizedLms(), trace)
+    def test_malformed_trace_rejected(self, short_trace):
+        with pytest.raises(InvalidInputError, match="measurement must be a ndarray, got list"):
+            time_step(NormalizedLms(),
+                      dataclasses.replace(short_trace, measurement=[0.0] * len(short_trace)))
 
     # a filter class and a duck-typed object each carry an integer
     # init_window, a fit and a step

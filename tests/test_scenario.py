@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import math
 import os
 import re
@@ -8,7 +9,7 @@ import pytest
 
 from terrafilter import (InvalidInputError, ScenarioConfig, TerrainParams,
                          synthesize, terrain_height, write_trace_csv)
-from terrafilter.scenario import ScenarioTrace, write_columns
+from terrafilter.scenario import ScenarioTrace
 
 
 class TestTerrainHeight:
@@ -221,9 +222,9 @@ class TestTraceExport:
             write_trace_csv(value, tmp_path / "trace.csv")
 
     def test_malformed_trace_rejected_before_the_file_is_opened(self, tmp_path):
-        trace = ScenarioTrace(*[None] * 6, config=ScenarioConfig())
-        with pytest.raises(InvalidInputError, match="column t must be a 1-D numeric array"):
-            write_trace_csv(trace, tmp_path / "trace.csv")
+        with pytest.raises(InvalidInputError, match="times must be a ndarray, got NoneType"):
+            write_trace_csv(ScenarioTrace(*[None] * 6, config=ScenarioConfig()),
+                            tmp_path / "trace.csv")
         assert not (tmp_path / "trace.csv").exists()
 
     @pytest.mark.parametrize("column", [np.arange(4.0), np.arange(2.0), np.ones((3, 1)),
@@ -231,19 +232,18 @@ class TestTraceExport:
                                         np.ones(3, dtype=complex)],
                              ids=["longer", "shorter", "2-D", "strings", "ragged", "complex"])
     def test_bad_column_rejected_before_the_file_is_opened(self, column, tmp_path):
-        with pytest.raises(InvalidInputError, match="column b must be a 1-D numeric array"):
-            write_columns(tmp_path / "x.csv", ["a", "b"], [np.arange(3), column])
+        trace = synthesize(ScenarioConfig(sample_count=3, clean_prefix=0,
+                                          outlier_fraction=0.0))
+        # replace builds a new trace, which checks itself
+        with pytest.raises(InvalidInputError, match="terrain must be a"):
+            write_trace_csv(dataclasses.replace(trace, terrain=column), tmp_path / "x.csv")
         assert not (tmp_path / "x.csv").exists()
 
-    def test_one_header_per_column(self, tmp_path):
-        with pytest.raises(InvalidInputError, match="1 headers for 2 columns"):
-            write_columns(tmp_path / "x.csv", ["a"], [np.arange(3), np.arange(3)])
-        assert not (tmp_path / "x.csv").exists()
-
-    def test_no_columns_rejected_before_the_file_is_opened(self, tmp_path):
-        with pytest.raises(InvalidInputError, match="needs at least one column"):
-            write_columns(tmp_path / "x.csv", [], [])
-        assert not (tmp_path / "x.csv").exists()
+    def test_fields_cannot_be_reassigned(self):
+        trace = synthesize(ScenarioConfig(sample_count=3, clean_prefix=0,
+                                          outlier_fraction=0.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            trace.measurement = np.array([1.0, 2.0])
 
     def test_integer_path_rejected(self):
         # open() takes an integer as a file descriptor, writes to it and
