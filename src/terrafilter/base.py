@@ -325,9 +325,9 @@ class StreamingFilter:
         per trace its columns, the exception its fit raised, or None where
         ``run`` must decide. Every trace as long as the first fitted one is
         stacked; the irregular ones are marked from the start. A trace is
-        regular when every post-window sample passes ``step``'s input
-        checks: finite values, strictly increasing times and a finite scaled
-        time. A marked row stays in the batch; nothing is redone."""
+        regular when every post-window sample passes the ``step`` checks its
+        ``fit`` has not made: a finite measurement, a time above the one
+        before and a finite scaled time. A marked row stays in the batch."""
         n0 = self.init_window
         outcomes = [None] * len(traces)
         rows = []
@@ -341,21 +341,18 @@ class StreamingFilter:
             return outcomes
         length = len(rows[0][2])
         rows = [row for row in rows if len(row[2]) == length]
-        times = np.array([row[2] for row in rows])
-        measurements = np.array([row[3] for row in rows])
-        tau = times[:, n0:] / self.scale_divisor
+        times = np.array([row[2][n0 - 1:] for row in rows])
         s = _Rows()
-        s.failed = ~((np.isfinite(times) & np.isfinite(measurements)).all(axis=1)
-                     & (times[:, n0:] > times[:, n0 - 1:-1]).all(axis=1)
+        s.measurements = np.array([row[3][n0:] for row in rows])
+        tau = times[:, 1:] / self.scale_divisor
+        s.failed = ~(np.isfinite(s.measurements).all(axis=1)
+                     & (times[:, 1:] > times[:, :-1]).all(axis=1)
                      & np.isfinite(tau).all(axis=1))
         self._stack_state(s, [row[1] for row in rows])
-        s.measurements = measurements[:, n0:]
-        # every step's regressor at once: the cumulative product is
-        # poly_basis's chain of multiplications
-        phi = np.empty(s.measurements.shape + (self.degree + 1,))
-        phi[..., 0] = 1.0
-        phi[..., 1:] = tau[:, :, None]
-        s.phi = np.cumprod(phi, axis=2)
+        # every step's regressor at once, as batch_least_squares builds a
+        # window's (vander's running product is poly_basis's multiplications)
+        s.phi = np.vander(tau.ravel(), self.degree + 1, increasing=True).reshape(
+            *tau.shape, self.degree + 1)
         width = s.measurements.shape[1]
         columns = [np.zeros((len(rows), width), dtype=dtype)
                    for _, dtype in self._LOCKSTEP_COLUMNS]
@@ -426,13 +423,13 @@ class ForgettingFactorCore(StreamingFilter):
     """
 
     def _init_state(self, fit, taus):
+        # phi^T P phi >= 1 / (window / variance + steps), as phi[0] is 1: a normal
+        # variance keeps it above 0 (checked first, so a refused fit sets nothing)
+        if self.covariance_init == "residual" and fit.residual_variance < sys.float_info.min:
+            raise InvalidInputError("covariance_init='residual' needs a residual variance "
+                                    f">= {sys.float_info.min}, got {fit.residual_variance}")
         super()._init_state(fit, taus)
         if self.covariance_init == "residual":
-            # phi^T P phi >= 1 / (window / variance + steps), as phi[0] is 1: a
-            # normal variance keeps it above the 0 the factor update divides by
-            if fit.residual_variance < sys.float_info.min:
-                raise InvalidInputError("covariance_init='residual' needs a residual variance "
-                                        f">= {sys.float_info.min}, got {fit.residual_variance}")
             self.L_ = math.sqrt(fit.residual_variance) * fit.gram_inverse_root
         else:
             self.L_ = fit.gram_inverse_root.copy()
@@ -465,7 +462,11 @@ class ForgettingFactorCore(StreamingFilter):
         return the gain. The parameter guard covers the gain too: a
         non-finite gain always leaves a non-finite parameter vector."""
         gain = self._gain_update(phi, lam)
-        self.theta_ = self.theta_ + gain * residual
+        try:
+            self.theta_ = self.theta_ + gain * residual
+        except RuntimeWarning:  # an error filter's overflow: the guard words it as run does
+            with np.errstate(all="ignore"):
+                self.theta_ = self.theta_ + gain * residual
         if not all_finite(self.theta_):
             culprit = "parameter vector" if all_finite(gain) else "gain"
             raise NumericalDivergenceError(

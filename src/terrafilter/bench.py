@@ -223,19 +223,18 @@ def config_hash(config: ExperimentConfig) -> str:
 def run_cells(spec: AlgorithmSpec, traces) -> list:
     """Run one algorithm's cell on each trace, named by the trace's config.
     Returns, per trace, ``(report_without_sr, columns)`` or the exception
-    the cell failed with; ``columns`` are the cell's ``run_lockstep_detailed``
+    the cell failed with; ``columns`` are the cell's ``run_detailed``
     columns: ``prediction``, and for RvmRls the fig4 columns. Cells whose
     filters are built alike (every algorithm but the particle filter, whose
-    seed is the cell's) run as one ``run_lockstep_detailed`` call."""
+    seed is the cell's) run as one ``run_lockstep_detailed`` call; the
+    others each run their own filter."""
     params = [_filter_params(spec, trace.config) for trace in traces]
-    times = [trace.times for trace in traces]
-    measurements = [trace.measurement for trace in traces]
     if all(p == params[0] for p in params):
         outcomes = build_filter(spec, traces[0].config).run_lockstep_detailed(
-            times, measurements)
+            [trace.times for trace in traces], [trace.measurement for trace in traces])
     else:
-        outcomes = [build_filter(spec, trace.config).run_lockstep_detailed([t], [y])[0]
-                    for trace, t, y in zip(traces, times, measurements)]
+        outcomes = [_outcome(build_filter(spec, trace.config).run_detailed,
+                             trace.times, trace.measurement) for trace in traces]
     return [outcome if isinstance(outcome, Exception) else
             _outcome(_cell_report, spec, trace, outcome)
             for trace, outcome in zip(traces, outcomes)]

@@ -112,11 +112,11 @@ class ScenarioConfig:
         return replace(self, seed=seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioTrace:
     """Synthesized arrays plus the configuration that produced them, checked
     when built: each array is 1-D, of a boolean, integer or float dtype, and
-    as long as ``times``."""
+    as long as ``times``. A trace compares and hashes by identity."""
 
     times: np.ndarray
     terrain: np.ndarray

@@ -4,6 +4,7 @@ import math
 import re
 import types
 import typing
+import warnings
 
 import numpy as np
 import pytest
@@ -250,6 +251,25 @@ class TestSharedKernel:
             f.step(trace.times[100], y)
         assert err.value.step_index == 100
 
+    @pytest.mark.parametrize("name", ["rls", "rls_residual", "gvff_rls", "gvff_rls_residual"])
+    def test_step_overflow_is_runs_error_under_an_error_filter(self, name,
+                                                               benchmark_trace_outliers):
+        # a stream whose caller turns numpy's warnings into errors: the
+        # overflowing parameter update still ends at run's typed guard
+        trace = benchmark_trace_outliers
+        y = trace.measurement.copy()
+        y[300] = 1.7e308
+        with pytest.raises(NumericalDivergenceError) as expected:
+            RLS_VARIANTS[name]().run(trace.times, y)
+        f = RLS_VARIANTS[name]().fit(trace.times[:100], y[:100])
+        with warnings.catch_warnings(), pytest.raises(NumericalDivergenceError) as err:
+            warnings.simplefilter("error", RuntimeWarning)
+            for t, value in zip(trace.times[100:], y[100:]):
+                f.step(t, value)
+        assert str(err.value) == str(expected.value)
+        assert str(err.value) == "parameter vector became non-finite (step_index=300)"
+        assert err.value.step_index == expected.value.step_index == 300
+
     @pytest.mark.parametrize("name", list(RLS_FAMILY))
     def test_forgetting_below_the_gain_floor_refused_at_fit(self, name,
                                                             benchmark_trace_outliers):
@@ -275,6 +295,25 @@ class TestSharedKernel:
         with pytest.raises(InvalidInputError, match="needs a residual variance >= 2.2"):
             RLS_VARIANTS[name]().fit(t, y)
         StaticRls().fit(t, y)  # the "gram" factor does not scale with it
+
+    @pytest.mark.parametrize("name", ["rls_residual", "rvm_rls"])
+    def test_refused_refit_leaves_the_fitted_filter_as_it_was(self, name,
+                                                              benchmark_trace_outliers):
+        # a constant window has residual variance 0, which a "residual"
+        # factor refuses: the filter keeps its last fit, and steps from it
+        trace = benchmark_trace_outliers
+        window = trace.times[:100], trace.measurement[:100]
+        f = RLS_VARIANTS[name]().fit(*window)
+        before = dict(vars(f))
+        with pytest.raises(InvalidInputError, match="needs a residual variance .* got 0.0"):
+            f.fit(np.arange(200.0, 300.0), np.zeros(100))
+        assert vars(f).keys() == before.keys()
+        assert all(vars(f)[key] is value for key, value in before.items())
+        twin = RLS_VARIANTS[name]().fit(*window)
+        t, y = trace.times[100], trace.measurement[100]
+        assert f.step(t, y).hex() == twin.step(t, y).hex()
+        assert f.theta_.tobytes() == twin.theta_.tobytes()
+        assert f.L_.tobytes() == twin.L_.tobytes()
 
     def test_a_trace_that_passes_fit_fails_only_by_divergence(
             self, benchmark_trace_outliers, benchmark_trace_clean):

@@ -102,6 +102,44 @@ class TestRunExperiments:
         assert [c.algorithm for c in manifest.timing_failed] == ["broken"]
         assert manifest.timing_failed[0].error.startswith("timing: ")
 
+    def test_chunk_isolates_an_algorithm_whose_cells_raise(self, tmp_path, monkeypatch):
+        # a wide lockstep's MemoryError reaches the job as any exception
+        # does: that algorithm's cells fail by name, the others are kept
+        run_cells = bench.run_cells
+
+        def fail_rls(spec, traces):
+            if spec.name == "rls":
+                raise MemoryError("lockstep too wide")
+            return run_cells(spec, traces)
+
+        monkeypatch.setattr(bench, "run_cells", fail_rls)
+        config = small_config(tmp_path, seeds=(0, 1), algorithms=ALGOS[:2])
+        results = bench._run_chunk(config.scenarios[0], [0, 1], config.algorithms)
+        assert sorted(results) == [("small", a, seed) for a in ("rls", "rvm_rls")
+                                   for seed in (0, 1)]
+        for (_, algorithm, seed), (status, report) in results.items():
+            if algorithm == "rls":
+                assert status.status == "error" and report is None
+                assert status.error == "MemoryError: lockstep too wide"
+            else:
+                assert status.status == "ok" and status.error == ""
+                assert (report.algorithm, report.seed) == ("rvm_rls", seed)
+
+    def test_seed_whose_every_cell_failed_writes_its_trace_and_no_figure(
+            self, tmp_path, monkeypatch):
+        def fail(spec, traces):
+            raise MemoryError("lockstep too wide")
+
+        monkeypatch.setattr(bench, "run_cells", fail)
+        (tmp_path / "traces").mkdir()
+        (tmp_path / "figs").mkdir()
+        config = small_config(tmp_path, algorithms=ALGOS[:2])
+        results = bench._run_chunk(config.scenarios[0], [0], config.algorithms, tmp_path)
+        assert [status.status for status, _ in results.values()] == ["error", "error"]
+        trace = tmp_path / "traces" / "trace_small_0.csv"
+        assert trace.read_text().startswith("t,")
+        assert list((tmp_path / "figs").iterdir()) == []
+
     def test_pool_reports_match_direct_cells(self, tmp_path):
         config = small_config(tmp_path / "p", seeds=(0, 1), emit_traces=False)
         run_experiments(config)

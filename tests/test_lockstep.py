@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from terrafilter import (BootstrapParticleFilter, GvffRls, InvalidInputError, NormalizedLms,
                          NumericalDivergenceError, RvmRls, ScenarioConfig,
                          StaticRls, TerraFilterError, synthesize)
+from terrafilter.base import StreamingFilter
 from terrafilter.bench import load_config
 
 from goldens import BENCHMARK_CONFIG
@@ -33,6 +34,7 @@ CASES = {
     "rvm_rls_gram": lambda var: RvmRls(covariance_init="gram"),
     "rvm_rls_degree_2": lambda var: RvmRls(degree=2, target_noise_variance=var),
     "rls": lambda var: StaticRls(),
+    "rls_degree_1": lambda var: StaticRls(degree=1),
     "rls_residual": lambda var: StaticRls(covariance_init="residual"),
     "gvff_rls": lambda var: GvffRls(),
     "gvff_rls_residual": lambda var: GvffRls(covariance_init="residual"),
@@ -211,6 +213,26 @@ def test_one_trace_takes_the_run_path(case, scenario_traces, monkeypatch):
     assert np.array_equal(got, RECURSIVE[case](variance).run(times[0], measurements[0]))
     (columns,) = filt.run_lockstep_detailed(times[:1], measurements[:1])
     _assert_same_columns(filt.run_detailed(times[0], measurements[0]), columns)
+
+
+@pytest.mark.parametrize("case", list(CASES))
+def test_traces_exactly_init_window_long_stack_zero_steps(case, scenario_traces,
+                                                          monkeypatch):
+    # no post-window sample: every stacked input has zero steps, and each
+    # row gets run_detailed's empty columns from the lockstep itself
+    variance, times, measurements = scenario_traces
+    n0 = CASES[case](variance).init_window
+    times, measurements = [t[:n0] for t in times[:3]], [y[:n0] for y in measurements[:3]]
+    expected = [CASES[case](variance).run_detailed(t, y) for t, y in zip(times, measurements)]
+    reruns = []
+    run_detailed = StreamingFilter.run_detailed
+    monkeypatch.setattr(StreamingFilter, "run_detailed", lambda self, *trace: (
+        reruns.append(trace) or run_detailed(self, *trace)))
+    got = CASES[case](variance).run_lockstep_detailed(times, measurements)
+    assert not reruns
+    for columns, row in zip(expected, got):
+        _assert_same_columns(columns, row)
+        assert all(len(column) == 0 for column in row.values())
 
 
 @pytest.mark.parametrize("case", list(FAILING))

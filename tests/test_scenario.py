@@ -245,6 +245,15 @@ class TestTraceExport:
         with pytest.raises(dataclasses.FrozenInstanceError):
             trace.measurement = np.array([1.0, 2.0])
 
+    def test_compares_and_hashes_by_identity(self):
+        # a generated __eq__ would compare the arrays as a tuple, which
+        # numpy refuses to turn into a bool
+        config = ScenarioConfig(sample_count=10, clean_prefix=0, outlier_fraction=0.0)
+        a, b = synthesize(config), synthesize(config)
+        assert a == a and a != b
+        assert a in [a, b] and b not in [a]
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
     def test_integer_path_rejected(self):
         # open() takes an integer as a file descriptor, writes to it and
         # closes it: True is stdout
