@@ -9,11 +9,11 @@ import re
 import time
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
-from .base import _outcome, describe, is_finite_number
+from .base import _outcome, check_numbers, describe, is_finite_number
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
@@ -35,28 +35,31 @@ _NAME_RE = re.compile(r"[A-Za-z0-9_.-]+")
 
 @dataclass(frozen=True)
 class AlgorithmSpec:
-    """A named filter construction recipe. ``params`` are constructor
-    arguments, typed by the annotations of the filter's fields; the value
-    "scenario" for target_noise_variance resolves to each scenario's true
-    noise variance at run time."""
+    """A named filter recipe: ``params`` are constructor arguments, typed
+    by the filter's field annotations; a target_noise_variance of "scenario"
+    is each scenario's true noise variance at run time."""
 
     name: str
     kind: str
     params: dict = field(default_factory=dict)
 
+    __post_init__ = check_numbers
 
-@dataclass
+
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """An experiment matrix, checked when built: by ``check_numbers``, then
+    what the field types cannot. Each algorithm's filter is built as
+    ``build_filter`` builds it and checked by its ``_validate_params``."""
+
     scenarios: list[ScenarioConfig]
     algorithms: list[AlgorithmSpec]
     seeds: list[int]
     output_dir: str = "bench_out"
     emit_traces: bool = True
 
-    def validate(self):
-        """Check what the field types cannot. Each algorithm's filter is
-        built as ``build_filter`` builds it and checked by its
-        ``_validate_params``, once per scenario."""
+    def __post_init__(self):
+        check_numbers(self)
         if not self.scenarios or not self.algorithms or not self.seeds:
             raise ConfigError("config: scenarios, algorithms, and seeds must be non-empty")
         if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
@@ -86,7 +89,6 @@ class ExperimentConfig:
                     _build(params, cls, f"{path}.params")._validate_params()
                 except InvalidInputError as exc:
                     raise ConfigError(f"{path}.params: {exc}") from exc
-        return self
 
 
 @dataclass
@@ -129,7 +131,7 @@ def _filter_params(spec: AlgorithmSpec, cell: ScenarioConfig) -> dict:
 
 def build_filter(spec: AlgorithmSpec, cell: ScenarioConfig):
     """Instantiate the filter for one cell of a validated config, from the
-    config ``cell`` of its trace, typed by ``_build`` as the config check typed it."""
+    config ``cell`` of its trace, shaped by ``_build`` as the config check shaped it."""
     return _build(_filter_params(spec, cell), FILTER_KINDS[spec.kind],
                   f"{spec.name}.params")
 
@@ -143,32 +145,26 @@ def _expect(ok: bool, path: str, expected: str, value) -> None:
 
 
 def _build(value, tp, path: str):
-    """Build a value of annotated type ``tp`` from parsed JSON: an int takes
-    only an integer, a float an integer or a finite number (stored as
-    float), a bool, str or dict only its own type, and a dataclass (a config
-    object or a filter) an object of its fields, each typed by its
-    annotation. A mismatch is a ConfigError naming the path."""
+    """Shape parsed JSON as the annotated type ``tp``: ``T | None``, a list,
+    a list of a tuple's length as a tuple, a finite number as a float where
+    ``tp`` is float, and an object as a dataclass of its keys, none unknown
+    or missing. Any other value is left for the dataclass holding it to
+    check, whose InvalidInputError becomes a ConfigError naming its path."""
     tp = typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Annotated else tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # ``T | None``
         return None if value is None else _build(value, args[0], path)
-    if origin is list:
-        _expect(isinstance(value, list), path, "a list", value)
+    if origin is list and isinstance(value, list):
         return [_build(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
-    if origin is tuple:
-        _expect(isinstance(value, list) and len(value) == len(args), path,
-                f"a list of {len(args)} items", value)
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
         return tuple(_build(v, a, f"{path}[{i}]")
                      for i, (v, a) in enumerate(zip(value, args)))
-    if tp is float:
-        _expect(is_finite_number(value), path, "a finite number", value)
+    if tp is float and is_finite_number(value):
         return float(value)
-    if tp in (int, bool, str, dict):
-        _expect(type(value) is tp, path, tp.__name__, value)
+    if not (is_dataclass(tp) and isinstance(value, dict)):
         return value
-    _expect(isinstance(value, dict), path, "an object", value)
     params = {f.name: f for f in fields(tp)}
-    errors = [f"{path}.{k}: unknown key" for k in sorted(set(value) - set(params))]
+    errors = [f"{path}.{k}: unknown key" for k in sorted(set(value) - set(params), key=str)]
     errors += [f"{path}.{k}: missing" for k, f in params.items()
                if k not in value and f.default is f.default_factory is MISSING]
     if errors:
@@ -194,14 +190,14 @@ def parse_scenario(d: dict) -> ScenarioConfig:
 
 
 def load_config(path) -> ExperimentConfig:
-    """Parse and validate a versioned JSON experiment config; the
-    ExperimentConfig dataclasses are its schema."""
+    """Parse a versioned JSON experiment config into the ExperimentConfig
+    that checks it; its dataclasses are the schema."""
     raw = read_json(path)
     _expect(isinstance(raw, dict), "config", "an object", raw)
     version = raw.pop("version", None)
     _expect(type(version) is int and version == CONFIG_VERSION, "config.version",
             str(CONFIG_VERSION), version)
-    return _build(raw, ExperimentConfig, "config").validate()
+    return _build(raw, ExperimentConfig, "config")
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -348,9 +344,9 @@ def _run_jobs(config: ExperimentConfig, out_dir):
     return results
 
 
-def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
+def run_experiments(config: ExperimentConfig) -> RunManifest:
     """Execute the full matrix and write reports, aggregates, traces,
-    figure data, and the manifest into the output directory.
+    figure data, and the manifest into ``config.output_dir``.
 
     Metric cells run on a process pool, one job per (scenario, chunk of
     seeds) and one worker per usable CPU (``taskset`` limits them); a job
@@ -360,8 +356,7 @@ def run_experiments(config: ExperimentConfig, out_dir=None) -> RunManifest:
     cell, job or timing measurement is recorded in the manifest without
     disturbing the others.
     """
-    config.validate()
-    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     if config.emit_traces:
         (out / "traces").mkdir(exist_ok=True)

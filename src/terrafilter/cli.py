@@ -12,6 +12,7 @@ unreadable reports file, 2 configuration error.
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 from .bench import load_config, parse_scenario, read_json, run_experiments
 from .exceptions import ConfigError, InvalidInputError, TerraFilterError
@@ -45,11 +46,11 @@ def _build_parser():
 
 def _cmd_run(args) -> int:
     config = load_config(args.config)
-    if args.no_traces:
-        config.emit_traces = False
     out_dir = args.out or os.environ.get(OUTPUT_DIR_ENV) or config.output_dir
+    config = replace(config, output_dir=out_dir,
+                     emit_traces=config.emit_traces and not args.no_traces)
 
-    manifest = run_experiments(config, out_dir=out_dir)
+    manifest = run_experiments(config)
     _print_tables(os.path.join(out_dir, "reports.csv"))
     failed = manifest.failed + manifest.timing_failed
     if failed:

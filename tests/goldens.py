@@ -16,6 +16,7 @@ import hashlib
 import json
 import platform
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,8 @@ def _write():
 
     with tempfile.TemporaryDirectory() as tmp:
         config = load_config(BENCHMARK_CONFIG)
-        config.emit_traces = False
-        run_experiments(config, Path(tmp) / "matrix")
+        run_experiments(replace(config, output_dir=str(Path(tmp) / "matrix"),
+                                emit_traces=False))
         reports = (Path(tmp) / "matrix" / "reports.csv").read_text(encoding="utf-8")
         REPORTS_GOLDEN.write_text(strip_timing(reports), encoding="utf-8")
 

@@ -10,6 +10,7 @@ asserted as stated rather than weakened.
 """
 
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -50,9 +51,8 @@ def _value(reports, scenario, algorithm, seed, metric):
 @pytest.fixture(scope="session")
 def matrix(tmp_path_factory):
     out = tmp_path_factory.mktemp("acceptance_matrix")
-    config = load_config(BENCHMARK_CONFIG)
-    config.emit_traces = False
-    manifest = run_experiments(config, out)
+    config = replace(load_config(BENCHMARK_CONFIG), output_dir=str(out), emit_traces=False)
+    manifest = run_experiments(config)
     text = (out / "reports.csv").read_text()
     return SimpleNamespace(out=out, config=config, manifest=manifest,
                            text=text, reports=reports_from_csv(text))
@@ -252,9 +252,8 @@ def test_criterion_10_determinism(matrix, tmp_path_factory):
     """Byte-identical reports on rerun. Wall-clock columns (sr_ms) are
     excluded along with timestamps; everything else must match exactly."""
     out2 = tmp_path_factory.mktemp("acceptance_rerun")
-    config = load_config(BENCHMARK_CONFIG)
-    config.emit_traces = False
-    run_experiments(config, out2)
+    run_experiments(replace(load_config(BENCHMARK_CONFIG), output_dir=str(out2),
+                            emit_traces=False))
 
     first = strip_timing((matrix.out / "reports.csv").read_text())
     second = strip_timing((out2 / "reports.csv").read_text())

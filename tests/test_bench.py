@@ -22,6 +22,8 @@ from terrafilter.metrics import (aggregate_csv, median_groups, render_tables,
 from goldens import (BENCHMARK_CONFIG, SMALL_GOLDEN, mismatch_note,
                      output_digests, strip_timing)
 
+README = BENCHMARK_CONFIG.parent.parent / "README.md"
+
 ALGOS = [
     AlgorithmSpec("rvm_rls", "rvm_rls", {"target_noise_variance": "scenario"}),
     AlgorithmSpec("rls", "rls", {}),
@@ -40,7 +42,7 @@ def small_config(out, seeds=(0,), algorithms=ALGOS, emit_traces=True):
         seeds=list(seeds),
         output_dir=str(out),
         emit_traces=emit_traces,
-    ).validate()
+    )
 
 
 class TestRunExperiments:
@@ -294,24 +296,25 @@ def _drop_kind(payload):
 # gvff_rls, pf) and names the text the ConfigError must contain.
 REJECTED = {
     "sample_count_fraction": (_set("scenarios", 0, "sample_count", value=2000.7),
-                              ["config.scenarios[0].sample_count"]),
+                              ["config.scenarios[0]: sample_count must be an integer"]),
     "sample_count_bool": (_set("scenarios", 0, "sample_count", value=True),
-                          ["config.scenarios[0].sample_count"]),
+                          ["config.scenarios[0]: sample_count must be an integer"]),
     "emit_traces_string": (_set("emit_traces", value="false"),
-                           ["config.emit_traces"]),
-    "seeds_fractions": (_set("seeds", value=[0.5, 1.9]), ["config.seeds[0]"]),
+                           ["config: emit_traces must be a bool"]),
+    "seeds_fractions": (_set("seeds", value=[0.5, 1.9]),
+                        ["config: seeds[0] must be an integer"]),
     "seeds_duplicate": (_set("seeds", value=[0, 0]), ["config.seeds", "distinct"]),
     "seeds_negative": (_set("seeds", value=[-1]), ["config.seeds", "non-negative"]),
-    "seeds_string": (_set("seeds", value="abc"), ["config.seeds"]),
+    "seeds_string": (_set("seeds", value="abc"), ["config: seeds must be a list"]),
     "clearance_nan_string": (_set("scenarios", 0, "clearance", value="nan"),
-                             ["config.scenarios[0].clearance"]),
+                             ["config.scenarios[0]: clearance must be finite"]),
     "clearance_json_nan": (_set("scenarios", 0, "clearance", value=float("nan")),
-                           ["config.scenarios[0].clearance"]),
+                           ["config.scenarios[0]: clearance must be finite"]),
     "name_integer": (_set("scenarios", 0, "name", value=5),
-                     ["config.scenarios[0].name"]),
+                     ["config.scenarios[0]: name must be a str"]),
     "outlier_band_three_items": (
         _set("scenarios", 0, "outlier_band", value=[-30.0, 0.0, 30.0]),
-        ["config.scenarios[0].outlier_band"]),
+        ["config.scenarios[0]: outlier_band must be 2 numbers"]),
     "scenario_seed_negative": (_set("scenarios", 0, "seed", value=-1),
                                ["config.scenarios[0]", "seed"]),
     # each cell's trace takes its seed from config.seeds
@@ -322,16 +325,16 @@ REJECTED = {
                      ["config.algorithms[1].kind", "unknown algorithm kind 'kalman'"]),
     "particle_count_float": (
         _set("algorithms", 4, "params", value={"particle_count": 100.0}),
-        ["config.algorithms[4].params.particle_count"]),
+        ["config.algorithms[4].params: particle_count must be an integer"]),
     "process_std_nan": (
         _set("algorithms", 4, "params", value={"process_std": float("nan")}),
-        ["config.algorithms[4].params.process_std"]),
+        ["config.algorithms[4].params: process_std must be finite"]),
     "lms_mu_5": (_set("algorithms", 2, "params", value={"mu": 5}),
                  ["config.algorithms[2].params", "mu"]),
     "lms_mu_negative": (_set("algorithms", 2, "params", value={"mu": -1}),
                         ["config.algorithms[2].params", "mu"]),
     "lms_mu_nan": (_set("algorithms", 2, "params", value={"mu": float("nan")}),
-                   ["config.algorithms[2].params.mu"]),
+                   ["config.algorithms[2].params: mu must be finite"]),
     "lms_eps_negative": (_set("algorithms", 2, "params", value={"eps": -1}),
                          ["config.algorithms[2].params", "eps"]),
     "unknown_param": (_set("algorithms", 2, "params", value={"bogus": 1}),
@@ -343,10 +346,10 @@ REJECTED = {
                                  ["config.scenarios[0]", "noise_variance"]),
     # an integer beyond the float range is no finite number
     "clearance_400_digits": (_set("scenarios", 0, "clearance", value=10**400),
-                             ["config.scenarios[0].clearance"]),
+                             ["config.scenarios[0]: clearance must be finite"]),
     "step_size_400_digits": (
         _set("algorithms", 0, "params", "step_size", value=10**400),
-        ["config.algorithms[0].params.step_size"]),
+        ["config.algorithms[0].params: step_size must be finite"]),
     "sample_count_10_30": (_set("scenarios", 0, "sample_count", value=10**30),
                            ["config.scenarios[0]", "sample_count"]),
     # a name becomes part of file names and csv headers: a trailing newline
@@ -499,6 +502,53 @@ class TestConfigFiles:
     ], ids=["benchmark", "figures"])
     def test_shipped_config_hashes_pinned(self, path, digest):
         assert config_hash(load_config(path)) == digest
+
+    def test_readme_quotes_the_message_load_config_raises(self, tmp_path):
+        payload = json.loads(BENCHMARK_CONFIG.read_text(encoding="utf-8"))
+        payload["scenarios"][0]["sample_count"] = 2000.7
+        with pytest.raises(ConfigError) as err:
+            load_config(self._dump(tmp_path, payload))
+        assert f"`{err.value}`" in README.read_text(encoding="utf-8")
+
+
+def one_cell_config(**fields):
+    """A valid one-cell ExperimentConfig, with ``fields`` replaced."""
+    return ExperimentConfig(**{"scenarios": [ScenarioConfig()], "seeds": [0],
+                               "algorithms": [AlgorithmSpec("lms", "lms")], **fields})
+
+
+class TestExperimentConfig:
+    @pytest.mark.parametrize("build, message", [
+        (lambda: one_cell_config(seeds="ab"), "seeds must be a list, got str"),
+        (lambda: one_cell_config(seeds=[0.5]), "seeds[0] must be an integer, got 0.5"),
+        (lambda: one_cell_config(scenarios=[None]),
+         "scenarios[0] must be a ScenarioConfig, got NoneType"),
+        (lambda: one_cell_config(emit_traces="no"), "emit_traces must be a bool, got str"),
+        (lambda: one_cell_config(output_dir=5), "output_dir must be a str, got int"),
+        (lambda: AlgorithmSpec("lms", "lms", params=None),
+         "params must be a dict, got NoneType"),
+    ], ids=["seeds-str", "seeds-float", "scenario-none", "emit_traces-str",
+            "output_dir-int", "params-none"])
+    def test_field_checked_when_built(self, build, message):
+        with pytest.raises(InvalidInputError, match=re.escape(message)):
+            build()
+
+    def test_params_keys_of_mixed_types_are_unknown_keys(self):
+        # JSON keys are strings; a dict built in Python may mix types
+        spec = AlgorithmSpec("lms", "lms", params={1: 2, "a": 3})
+        with pytest.raises(ConfigError, match=re.escape(
+                "config.algorithms[0].params.1: unknown key; "
+                "config.algorithms[0].params.a: unknown key")):
+            one_cell_config(algorithms=[spec])
+
+    def test_replace_checks_the_new_config(self):
+        with pytest.raises(ConfigError, match="seeds must be distinct"):
+            dataclasses.replace(one_cell_config(), seeds=[0, 0])
+
+    def test_fields_cannot_be_assigned(self):
+        config = one_cell_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.seeds = [1]
 
 
 class TestCli:

@@ -3,10 +3,11 @@
 result or a TerraFilterError, never another exception and never a hang.
 A filter is built with the junk value and then run, since it checks its
 parameters at ``fit``; its methods take junk samples too, and a lockstep
-run's per-trace outcomes are held to the same contract. The other
-arguments are valid, and each case runs under a time limit. The named
-exemptions run inside every step and keep raw errors (README, *Command
-line*), so a new one shows as a diff here.
+run's per-trace outcomes are held to the same contract, as are the fields
+of a run config and of its algorithms. The other arguments are valid, and
+each case runs under a time limit. The named exemptions run inside every
+step and keep raw errors (README, *Command line*), so a new one shows as a
+diff here.
 """
 
 import dataclasses
@@ -22,7 +23,10 @@ from terrafilter import (InvalidInputError, NormalizedLms, RvmRls, ScenarioConfi
                          TerraFilterError, TerrainParams, WaypointGeometry, synthesize,
                          terrain_height, time_step, write_trace_csv)
 from terrafilter.base import StreamingFilter
-from terrafilter.bench import FILTER_KINDS
+from terrafilter.bench import (FILTER_KINDS, AlgorithmSpec, ExperimentConfig, build_filter,
+                               config_hash)
+
+from test_bench import one_cell_config
 
 JUNK = [None, "1", "a", b"1", 10**400, math.nan, math.inf, True, [], [1.0, "a"], {},
         object(), np.zeros((2, 2))]
@@ -120,6 +124,26 @@ def test_exemptions_are_public_callables():
 def test_junk_argument_gives_result_or_typed_error(name, param, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)  # write_trace_csv writes a file named 1
     assert _wrong(lambda junk: _call(name, param, junk)) == []
+
+
+def _config_call(cls, param, junk):
+    """Build a run config with one field of it, or of its algorithm, set to
+    ``junk``; a built config is then used as a run uses it."""
+    if cls is AlgorithmSpec:
+        config = one_cell_config(
+            algorithms=[AlgorithmSpec(**{"name": "lms", "kind": "lms", param: junk})])
+    else:
+        config = one_cell_config(**{param: junk})
+    config_hash(config)
+    return [build_filter(spec, scenario) for spec in config.algorithms
+            for scenario in config.scenarios]
+
+
+@pytest.mark.parametrize("cls, param", [
+    pytest.param(cls, f.name, id=f"{cls.__name__}.{f.name}")
+    for cls in (ExperimentConfig, AlgorithmSpec) for f in dataclasses.fields(cls)])
+def test_junk_config_field_gives_config_or_typed_error(cls, param):
+    assert _wrong(lambda junk: _config_call(cls, param, junk)) == []
 
 
 # each filter method's valid arguments; step's filter is fitted first

@@ -81,11 +81,11 @@ def test_timing_pass_per_layer_counts(tmp_path):
     config = ExperimentConfig(
         scenarios=[ScenarioConfig(name="short", sample_count=130, clean_prefix=100)],
         algorithms=[AlgorithmSpec("rvm_rls", "rvm_rls"), AlgorithmSpec("lms", "lms")],
-        seeds=[0, 1], emit_traces=False)
+        seeds=[0, 1], output_dir=str(tmp_path), emit_traces=False)
     tracer = _tracer()
     try:
         tracer.install()
-        run_experiments(config, out_dir=tmp_path)
+        run_experiments(config)
     finally:
         tracer.restore()
     summary = tracer.summary()
