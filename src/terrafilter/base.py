@@ -97,14 +97,15 @@ def check_numbers(obj):
     """Check the fields of the dataclass ``obj`` by their annotations: an
     ``int`` holds an integer other than a bool, a ``float`` (``float |
     None``: None, or) a number that ``is_finite_number`` takes, a ``tuple``
-    of floats such entries, as many as it declares, a ``list[T]`` a list of
-    entries ``field[i]`` checked as ``T``s, a ``bool``, ``str`` or other class
-    an instance of it, and ``Annotated[T, *rules]`` a ``T`` in each rule.
+    of floats such entries, as many as it declares, a ``tuple[T, ...]`` a
+    tuple of entries ``field[i]`` checked as ``T``s, a ``bool``, ``str`` or
+    other class an instance of it, and ``Annotated[T, *rules]`` a ``T`` in
+    each rule.
     Raises an InvalidInputError naming the first field that does not, as in
     ``mu must lie in (0, 2), got 5``, or whose annotation is a string (a
     postponed annotation), which it cannot check."""
     checks = [(f.name, f.type, getattr(obj, f.name)) for f in dataclasses.fields(obj)]
-    for name, tp, value in checks:  # a list's entries join the end of ``checks``
+    for name, tp, value in checks:  # a tuple[T, ...]'s entries join the end of ``checks``
         if typing.get_origin(tp) in (types.UnionType, typing.Union):  # ``T | None``
             tp = None if value is None else typing.get_args(tp)[0]
         tp, *rules = typing.get_args(tp) if typing.get_origin(tp) is typing.Annotated else (tp,)
@@ -115,15 +116,15 @@ def check_numbers(obj):
             raise InvalidInputError(f"{name} must be an integer, got {describe(value)}")
         if tp is float and not is_finite_number(value):
             raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
-        if typing.get_origin(tp) is tuple and args[0] is float:
+        if typing.get_origin(tp) is tuple and args[-1] is Ellipsis:
+            require_type(name, value, tuple)
+            checks += [(f"{name}[{i}]", args[0], item) for i, item in enumerate(value)]
+        elif typing.get_origin(tp) is tuple and args[0] is float:
             if not (isinstance(value, tuple) and len(value) == len(args)):
                 raise InvalidInputError(
                     f"{name} must be {len(args)} numbers, got {describe(value)}")
             if not all(map(is_finite_number, value)):
                 raise InvalidInputError(f"{name} must be finite, got {describe(value)}")
-        if typing.get_origin(tp) is list:
-            require_type(name, value, list)
-            checks += [(f"{name}[{i}]", args[0], item) for i, item in enumerate(value)]
         if isinstance(tp, type) and tp not in (int, float):
             require_type(name, value, tp)
         for rule in rules:

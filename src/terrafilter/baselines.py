@@ -125,21 +125,33 @@ class GvffRls(ForgettingFactorCore):
     def step(self, t_raw: float, y: float) -> float:
         phi, y, prediction = self._predict(t_raw, y)
         e = y - prediction
-        phi_psi = float(phi.dot(self.psi_))
+        try:
+            phi_psi = float(phi.dot(self.psi_))
+        except RuntimeWarning:  # an error filter's overflow: the guard words it as run does
+            with np.errstate(all="ignore"):
+                phi_psi = float(phi.dot(self.psi_))
         self.lambda_ = self._clip_lambda(self.lambda_ + self.alpha * e * phi_psi)
         gain = self._absorb(phi, self.lambda_, e)
-        gain_col = gain[:, None]
-        # (I - K phi^T) S (I - phi K^T) via two rank-1 corrections
-        AS = self.S_ - gain_col * phi.dot(self.S_)
-        ASA = AS - AS.dot(phi)[:, None] * gain
-        self.S_ = (ASA + gain_col * gain - self.L_.dot(self.L_.T)) / self.lambda_
-        self.psi_ = self.psi_ - gain * phi_psi + self.S_.dot(phi) * e
+        try:
+            self.S_, self.psi_ = self._sensitivities(phi, gain, phi_psi, e)
+        except RuntimeWarning:  # redone from the unchanged state, then guarded below
+            with np.errstate(all="ignore"):
+                self.S_, self.psi_ = self._sensitivities(phi, gain, phi_psi, e)
         if not all_finite(self.psi_):
             # _absorb has closed the step already
             raise NumericalDivergenceError(
                 "sensitivity vector became non-finite", self.step_index_ - 1
             )
         return prediction
+
+    def _sensitivities(self, phi, gain, phi_psi, e):
+        """The next ``(S_, psi_)``, computed without changing the state."""
+        gain_col = gain[:, None]
+        # (I - K phi^T) S (I - phi K^T) via two rank-1 corrections
+        AS = self.S_ - gain_col * phi.dot(self.S_)
+        ASA = AS - AS.dot(phi)[:, None] * gain
+        S = (ASA + gain_col * gain - self.L_.dot(self.L_.T)) / self.lambda_
+        return S, self.psi_ - gain * phi_psi + S.dot(phi) * e
 
     _LOCKSTEP_STATE = ForgettingFactorCore._LOCKSTEP_STATE + ("lambda_", "S_", "psi_")
 

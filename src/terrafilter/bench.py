@@ -19,7 +19,9 @@ from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
                       time_step, variance_ratio)
 from .rvm_rls import RvmRls
-from .scenario import ScenarioConfig, synthesize, write_columns, write_trace_csv
+from .scenario import TRACE_HEADER, ScenarioConfig, format_column, synthesize, write_columns
+# write_trace_csv stays a module global here: perfbench's tracer patches it
+from .scenario import write_trace_csv  # noqa: F401
 
 FILTER_KINDS = {
     "rvm_rls": RvmRls,
@@ -52,9 +54,9 @@ class ExperimentConfig:
     what the field types cannot. Each algorithm's filter is built as
     ``build_filter`` builds it and checked by its ``_validate_params``."""
 
-    scenarios: list[ScenarioConfig]
-    algorithms: list[AlgorithmSpec]
-    seeds: list[int]
+    scenarios: tuple[ScenarioConfig, ...]
+    algorithms: tuple[AlgorithmSpec, ...]
+    seeds: tuple[int, ...]
     output_dir: str = "bench_out"
     emit_traces: bool = True
 
@@ -145,17 +147,18 @@ def _expect(ok: bool, path: str, expected: str, value) -> None:
 
 
 def _build(value, tp, path: str):
-    """Shape parsed JSON as the annotated type ``tp``: ``T | None``, a list,
-    a list of a tuple's length as a tuple, a finite number as a float where
-    ``tp`` is float, and an object as a dataclass of its keys, none unknown
-    or missing. Any other value is left for the dataclass holding it to
-    check, whose InvalidInputError becomes a ConfigError naming its path."""
+    """Shape parsed JSON as the annotated type ``tp``: ``T | None``, a list
+    as a ``tuple[T, ...]`` or as a tuple of its length, a finite number as
+    a float where ``tp`` is float, and an object as a dataclass of its
+    keys, none unknown or missing. Any other value is left for the
+    dataclass holding it to check, whose InvalidInputError becomes a
+    ConfigError naming its path."""
     tp = typing.get_args(tp)[0] if typing.get_origin(tp) is typing.Annotated else tp
     origin, args = typing.get_origin(tp), typing.get_args(tp)
     if origin in (types.UnionType, typing.Union):  # ``T | None``
         return None if value is None else _build(value, args[0], path)
-    if origin is list and isinstance(value, list):
-        return [_build(v, args[0], f"{path}[{i}]") for i, v in enumerate(value)]
+    if origin is tuple and args[-1] is Ellipsis and isinstance(value, list):
+        return tuple(_build(v, args[0], f"{path}[{i}]") for i, v in enumerate(value))
     if origin is tuple and isinstance(value, list) and len(value) == len(args):
         return tuple(_build(v, a, f"{path}[{i}]")
                      for i, (v, a) in enumerate(zip(value, args)))
@@ -293,8 +296,9 @@ def _run_chunk(scenario: ScenarioConfig, seeds, algorithms, out_dir=None):
             results[(scenario.name, spec.name, seed)] = status, report
     if out_dir is not None:
         fig4 = next((a.name for a in algorithms if a.kind == "rvm_rls"), None)
+        shared = {}
         for seed, trace in zip(seeds, traces):
-            _emit_trace_files(out_dir, trace, columns[seed], fig4)
+            _emit_trace_files(out_dir, trace, columns[seed], fig4, shared)
     return results
 
 
@@ -406,34 +410,51 @@ def run_experiments(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _emit_trace_files(out, trace, columns, fig4):
+def _shared_text(shared, trace, key):
+    """The text of ``trace``'s column ``key``, formatted once per job:
+    ``shared`` maps a key to its last array and text, and an array whose
+    bytes differ from the last one's is formatted again."""
+    column = getattr(trace, key)
+    last = shared.get(key)
+    if last is None or last[0].dtype != column.dtype or last[0].tobytes() != column.tobytes():
+        last = shared[key] = column, format_column(column)
+    return last[1]
+
+
+def _emit_trace_files(out, trace, columns, fig4, shared):
     """One trace's csv plus plot-ready figure files from ``columns``, the
     columns of each of its successful cells by algorithm name: the
     diagnostic columns of the ``fig4`` algorithm's cell (adaptive lambda
     and variance series) when that cell succeeded, overlaid predictions,
-    errors."""
+    errors. Each column is formatted once for all the files that write it,
+    and ``times``, ``terrain`` and ``reference`` once per job, through the
+    job's ``shared`` dict (see ``_shared_text``)."""
     figs_dir = Path(out) / "figs"
     name = f"{trace.config.name}_{trace.config.seed}.csv"
-    write_trace_csv(trace, Path(out) / "traces" / f"trace_{name}")
+    t, H, p = (_shared_text(shared, trace, key) for key in ("times", "terrain", "reference"))
+    z = format_column(trace.measurement)
+    write_columns(Path(out) / "traces" / f"trace_{name}", TRACE_HEADER,
+                  [t, H, p, z, trace.outlier_mask])
 
+    preds = {algorithm: c["prediction"] for algorithm, c in columns.items()}
+    pred_text = {algorithm: format_column(c) for algorithm, c in preds.items()}
     diagnostics = columns.get(fig4)
     if diagnostics is not None:
-        tail = slice(len(trace) - len(diagnostics["prediction"]), None)
+        k = len(trace) - len(preds[fig4])
         write_columns(figs_dir / f"fig4_{name}", ["t", "z", "p", *diagnostics],
-                      [trace.times[tail], trace.measurement[tail],
-                       trace.reference[tail], *diagnostics.values()])
+                      [t[k:], z[k:], p[k:],
+                       *{**diagnostics, "prediction": pred_text[fig4]}.values()])
 
     if not columns:
         return
-    preds = {algorithm: c["prediction"] for algorithm, c in columns.items()}
     # the rows every algorithm predicted: each one's last `common` samples
-    common = min(len(p) for p in preds.values())
-    tail = slice(len(trace) - common, None)
-    reference = trace.reference[tail]
-    aligned = [p[len(p) - common:] for p in preds.values()]
+    common = min(len(c) for c in preds.values())
+    k = len(trace) - common
+    reference = trace.reference[k:]
     write_columns(figs_dir / f"fig5_{name}",
                   ["t", "z", "p"] + [f"pred_{a}" for a in preds],
-                  [trace.times[tail], trace.measurement[tail], reference] + aligned)
+                  [t[k:], z[k:], p[k:]] + [text[len(text) - common:]
+                                           for text in pred_text.values()])
     write_columns(figs_dir / f"fig6_{name}",
                   ["t"] + [f"err_{a}" for a in preds],
-                  [trace.times[tail]] + [p - reference for p in aligned])
+                  [t[k:]] + [c[len(c) - common:] - reference for c in preds.values()])

@@ -194,16 +194,34 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
     )
 
 
+def _column_format(column) -> str:
+    """The ``%`` format of one value of ``column``: ``%s`` for a list of
+    formatted text, ``%d`` for an integer or boolean array, else ``%.17g``."""
+    if isinstance(column, list):
+        return "%s"
+    return "%d" if column.dtype.kind in "biu" else "%.17g"
+
+
+def format_column(column: np.ndarray) -> list:
+    """The text ``write_columns`` writes for each value of the 1-D array
+    ``column``, so that a column shared by several files is formatted once."""
+    fmt = _column_format(column)
+    return [fmt % v for v in column.tolist()]
+
+
 def write_columns(path, header, columns) -> None:
-    """Write equal-length 1-D columns as comma-separated text: the header
-    line, then one line per row. Integer and boolean columns print as
-    integers, the rest at full double precision (``%.17g``)."""
-    fmt = ",".join("%d" if c.dtype.kind in "biu" else "%.17g"
-                   for c in columns) + "\n"
-    rows = np.column_stack(columns).tolist()
+    """Write equal-length columns as comma-separated text: the header line,
+    then one line per row. A column is a 1-D array, whose integer and
+    boolean values print as integers and the rest at full double precision
+    (``%.17g``), or a list of text from ``format_column``, written as it is."""
+    fmt = ",".join(map(_column_format, columns)) + "\n"
+    values = [c if isinstance(c, list) else c.tolist() for c in columns]
+    if len(set(map(len, values))) > 1:
+        raise InvalidInputError(f"columns must be equally long, got lengths "
+                                f"{[len(v) for v in values]}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % tuple(row) for row in rows)
+        fh.writelines(fmt % row for row in zip(*values))
 
 
 def write_trace_csv(trace: ScenarioTrace, path) -> None:

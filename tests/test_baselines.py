@@ -251,24 +251,34 @@ class TestSharedKernel:
             f.step(trace.times[100], y)
         assert err.value.step_index == 100
 
-    @pytest.mark.parametrize("make, spike, message", [
-        *[pytest.param(RLS_VARIANTS[name], 1.7e308,
+    @pytest.mark.parametrize("make, at, spike, message", [
+        *[pytest.param(RLS_VARIANTS[name], 300, 1.7e308,
                        "parameter vector became non-finite (step_index=300)", id=name)
           for name in ["rls", "rls_residual", "gvff_rls", "gvff_rls_residual"]],
         # these spikes leave finite parameters whose next prediction
         # overflows in _predict's dot, which every filter but pf shares
-        *[pytest.param(lambda: StaticRls(degree=2), spike,
+        *[pytest.param(lambda: StaticRls(degree=2), 300, spike,
                        "prediction became non-finite (step_index=301)",
                        id=f"rls_degree_2_{spike}")
           for spike in [1.7e308, -1.7e308]],
+        # GvffRls's sensitivities: this spike leaves a finite psi_ whose dot
+        # with a later regressor overflows ...
+        pytest.param(GvffRls, 1500, -1e300,
+                     "sensitivity vector became non-finite (step_index=1928)",
+                     id="gvff_rls_phi_psi"),
+        # ... and these overflow the S_ and psi_ update itself
+        *[pytest.param(RLS_VARIANTS["gvff_rls_residual"], 101, spike,
+                       "sensitivity vector became non-finite (step_index=101)",
+                       id=f"gvff_rls_residual_sensitivities_{spike}")
+          for spike in [1e308, -1e308]],
     ])
-    def test_step_overflow_is_runs_error_under_an_error_filter(self, make, spike, message,
+    def test_step_overflow_is_runs_error_under_an_error_filter(self, make, at, spike, message,
                                                                benchmark_trace_outliers):
         # a stream whose caller turns numpy's warnings into errors: the
         # overflow still ends at run's typed guard
         trace = benchmark_trace_outliers
         y = trace.measurement.copy()
-        y[300] = spike
+        y[at] = spike
         with pytest.raises(NumericalDivergenceError) as expected:
             make().run(trace.times, y)
         f = make().fit(trace.times[:100], y[:100])

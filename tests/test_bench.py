@@ -11,7 +11,8 @@ import pytest
 
 from terrafilter import (BootstrapParticleFilter, ConfigError, GvffRls, InvalidInputError,
                          MetricsReport, NormalizedLms, NumericalDivergenceError, RvmRls,
-                         ScenarioConfig, StaticRls, synthesize)
+                         ScenarioConfig, StaticRls, TerrainParams, synthesize,
+                         write_trace_csv)
 from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                load_config, run_cell, run_experiments)
@@ -37,9 +38,9 @@ def small_config(out, seeds=(0,), algorithms=ALGOS, emit_traces=True):
     scenario = ScenarioConfig(name="small", sample_count=300, clean_prefix=100,
                               outlier_fraction=0.10)
     return ExperimentConfig(
-        scenarios=[scenario],
-        algorithms=list(algorithms),
-        seeds=list(seeds),
+        scenarios=(scenario,),
+        algorithms=tuple(algorithms),
+        seeds=tuple(seeds),
         output_dir=str(out),
         emit_traces=emit_traces,
     )
@@ -199,6 +200,59 @@ class TestRunExperiments:
         assert len(keys) == len(set(keys)) == 2 * 5
 
 
+def _file_bytes(out):
+    return {path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*")) if path.is_file()}
+
+
+def _output_dirs(out):
+    for sub in ("traces", "figs"):
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    return out
+
+
+class TestTraceFileText:
+    """A job formats ``times``, ``terrain`` and ``reference`` once and
+    shares that text among its seeds; the files must not show it."""
+
+    def test_one_job_writes_what_one_seed_jobs_write(self, tmp_path):
+        scenario = small_config(tmp_path).scenarios[0]
+        together = _output_dirs(tmp_path / "together")
+        bench._run_chunk(scenario, [0, 1, 2], ALGOS, together)
+        alone = _output_dirs(tmp_path / "alone")
+        for seed in (0, 1, 2):
+            bench._run_chunk(scenario, [seed], ALGOS, alone)
+        assert len(_file_bytes(together)) == 3 * 4
+        assert _file_bytes(together) == _file_bytes(alone)
+
+    @pytest.mark.parametrize("other", [
+        {"terrain": TerrainParams(amplitude=7.0)}, {"clearance": 25.0},
+        # equal by np.array_equal, but -0.0 prints as -0
+        {"terrain": TerrainParams(amplitude=-0.0)},
+    ], ids=["amplitude", "clearance", "negative-zero-amplitude"])
+    def test_text_of_another_scenario_is_not_reused(self, other, tmp_path):
+        # one name for both scenarios, so that their files are named alike
+        base = dict(name="small", sample_count=300, clean_prefix=100)
+        if "terrain" in other:
+            base["terrain"] = TerrainParams(amplitude=0.0)
+        traces = [synthesize(ScenarioConfig(**base)),
+                  synthesize(ScenarioConfig(**{**base, **other}))]
+        columns = [{spec.name: run_cell(spec, trace)[1] for spec in ALGOS[:2]}
+                   for trace in traces]
+        shared = {}
+        for out, trace, cols in zip(["first", "second"], traces, columns):
+            bench._emit_trace_files(_output_dirs(tmp_path / out), trace, cols, "rvm_rls",
+                                    shared)
+        fresh = _output_dirs(tmp_path / "fresh")
+        bench._emit_trace_files(fresh, traces[1], columns[1], "rvm_rls", {})
+        assert _file_bytes(tmp_path / "second") == _file_bytes(fresh)
+        assert _file_bytes(tmp_path / "second") != _file_bytes(tmp_path / "first")
+        # the trace file is the one write_trace_csv writes
+        write_trace_csv(traces[1], tmp_path / "trace.csv")
+        assert ((tmp_path / "trace.csv").read_bytes()
+                == (fresh / "traces" / "trace_small_0.csv").read_bytes())
+
+
 class TestRenderTable:
     def test_single_report(self):
         table = render_tables([MetricsReport("rvm_rls", 0.1, 0.2, 0.3, 0.4,
@@ -305,7 +359,7 @@ REJECTED = {
                         ["config: seeds[0] must be an integer"]),
     "seeds_duplicate": (_set("seeds", value=[0, 0]), ["config.seeds", "distinct"]),
     "seeds_negative": (_set("seeds", value=[-1]), ["config.seeds", "non-negative"]),
-    "seeds_string": (_set("seeds", value="abc"), ["config: seeds must be a list"]),
+    "seeds_string": (_set("seeds", value="abc"), ["config: seeds must be a tuple, got str"]),
     "clearance_nan_string": (_set("scenarios", 0, "clearance", value="nan"),
                              ["config.scenarios[0]: clearance must be finite"]),
     "clearance_json_nan": (_set("scenarios", 0, "clearance", value=float("nan")),
@@ -492,7 +546,7 @@ class TestConfigFiles:
         cfg = load_config(BENCHMARK_CONFIG)
         assert len(cfg.scenarios) == 2
         assert len(cfg.algorithms) == 5
-        assert cfg.seeds == list(range(10))
+        assert cfg.seeds == tuple(range(10))
 
     @pytest.mark.parametrize("path, digest", [
         (BENCHMARK_CONFIG,
@@ -513,21 +567,22 @@ class TestConfigFiles:
 
 def one_cell_config(**fields):
     """A valid one-cell ExperimentConfig, with ``fields`` replaced."""
-    return ExperimentConfig(**{"scenarios": [ScenarioConfig()], "seeds": [0],
-                               "algorithms": [AlgorithmSpec("lms", "lms")], **fields})
+    return ExperimentConfig(**{"scenarios": (ScenarioConfig(),), "seeds": (0,),
+                               "algorithms": (AlgorithmSpec("lms", "lms"),), **fields})
 
 
 class TestExperimentConfig:
     @pytest.mark.parametrize("build, message", [
-        (lambda: one_cell_config(seeds="ab"), "seeds must be a list, got str"),
-        (lambda: one_cell_config(seeds=[0.5]), "seeds[0] must be an integer, got 0.5"),
-        (lambda: one_cell_config(scenarios=[None]),
+        (lambda: one_cell_config(seeds="ab"), "seeds must be a tuple, got str"),
+        (lambda: one_cell_config(seeds=[0]), "seeds must be a tuple, got list"),
+        (lambda: one_cell_config(seeds=(0.5,)), "seeds[0] must be an integer, got 0.5"),
+        (lambda: one_cell_config(scenarios=(None,)),
          "scenarios[0] must be a ScenarioConfig, got NoneType"),
         (lambda: one_cell_config(emit_traces="no"), "emit_traces must be a bool, got str"),
         (lambda: one_cell_config(output_dir=5), "output_dir must be a str, got int"),
         (lambda: AlgorithmSpec("lms", "lms", params=None),
          "params must be a dict, got NoneType"),
-    ], ids=["seeds-str", "seeds-float", "scenario-none", "emit_traces-str",
+    ], ids=["seeds-str", "seeds-list", "seeds-float", "scenario-none", "emit_traces-str",
             "output_dir-int", "params-none"])
     def test_field_checked_when_built(self, build, message):
         with pytest.raises(InvalidInputError, match=re.escape(message)):
@@ -539,16 +594,25 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match=re.escape(
                 "config.algorithms[0].params.1: unknown key; "
                 "config.algorithms[0].params.a: unknown key")):
-            one_cell_config(algorithms=[spec])
+            one_cell_config(algorithms=(spec,))
 
     def test_replace_checks_the_new_config(self):
         with pytest.raises(ConfigError, match="seeds must be distinct"):
-            dataclasses.replace(one_cell_config(), seeds=[0, 0])
+            dataclasses.replace(one_cell_config(), seeds=(0, 0))
 
     def test_fields_cannot_be_assigned(self):
         config = one_cell_config()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            config.seeds = [1]
+            config.seeds = (1,)
+
+    def test_lists_cannot_change_after_the_check(self):
+        # the fields are tuples, so no seed can join after the check
+        config = load_config(BENCHMARK_CONFIG)
+        for key in ("scenarios", "algorithms", "seeds"):
+            assert type(getattr(config, key)) is tuple, key
+        with pytest.raises(AttributeError):
+            config.seeds.append(0)
+        assert config.seeds == tuple(range(10))
 
 
 class TestCli:

@@ -9,7 +9,7 @@ import pytest
 
 from terrafilter import (InvalidInputError, ScenarioConfig, TerrainParams,
                          synthesize, terrain_height, write_trace_csv)
-from terrafilter.scenario import ScenarioTrace
+from terrafilter.scenario import ScenarioTrace, format_column, write_columns
 
 
 class TestTerrainHeight:
@@ -269,3 +269,39 @@ class TestTraceExport:
             os.close(read_end)
             with contextlib.suppress(OSError):
                 os.close(write_end)
+
+
+class TestWriteColumns:
+    COLUMNS = {"float": np.array([0.1, -0.0, 1e300, 2.5]),
+               "int": np.array([3, -7, 0, 2**40]),
+               "bool": np.array([True, False, False, True])}
+
+    @pytest.mark.parametrize("kind", list(COLUMNS))
+    def test_text_column_writes_the_bytes_of_its_array(self, kind, tmp_path):
+        arrays = list(self.COLUMNS.values())
+        write_columns(tmp_path / "arrays.csv", list(self.COLUMNS), arrays)
+        mixed = [format_column(c) if key == kind else c for key, c in self.COLUMNS.items()]
+        write_columns(tmp_path / "mixed.csv", list(self.COLUMNS), mixed)
+        text = (tmp_path / "arrays.csv").read_bytes()
+        assert text == (tmp_path / "mixed.csv").read_bytes()
+        assert text.split(b"\n")[:3] == [b"float,int,bool", b"0.10000000000000001,3,1",
+                                          b"-0,-7,0"]
+
+    def test_boolean_column_prints_0_and_1(self, tmp_path):
+        write_columns(tmp_path / "x.csv", ["b"], [np.array([True, False, True])])
+        assert (tmp_path / "x.csv").read_text() == "b\n1\n0\n1\n"
+        assert format_column(np.array([False, True])) == ["0", "1"]
+
+    def test_large_integer_beside_a_float_prints_exactly(self, tmp_path):
+        # 2**53 + 1 has no float64; stacking it with a float column used
+        # to round it to 2**53
+        big = np.array([2**53 + 1, 2**62 + 1], dtype=np.int64)
+        write_columns(tmp_path / "x.csv", ["n", "x"], [big, np.array([0.5, 1.5])])
+        assert (tmp_path / "x.csv").read_text() == (
+            f"n,x\n{2**53 + 1},0.5\n{2**62 + 1},1.5\n")
+
+    def test_columns_of_unequal_length_rejected_before_the_file_is_opened(self, tmp_path):
+        with pytest.raises(InvalidInputError, match=re.escape("got lengths [2, 1]")):
+            write_columns(tmp_path / "x.csv", ["a", "b"],
+                          [np.array([1.0, 2.0]), format_column(np.array([1.0]))])
+        assert not (tmp_path / "x.csv").exists()

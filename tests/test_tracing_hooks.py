@@ -79,9 +79,9 @@ def test_timing_pass_per_layer_counts(tmp_path):
     # (scenario, algorithm), each a warm-up plus TIMED_RUNS fitted runs of
     # every post-window step; a change to that shape must change these
     config = ExperimentConfig(
-        scenarios=[ScenarioConfig(name="short", sample_count=130, clean_prefix=100)],
-        algorithms=[AlgorithmSpec("rvm_rls", "rvm_rls"), AlgorithmSpec("lms", "lms")],
-        seeds=[0, 1], output_dir=str(tmp_path), emit_traces=False)
+        scenarios=(ScenarioConfig(name="short", sample_count=130, clean_prefix=100),),
+        algorithms=(AlgorithmSpec("rvm_rls", "rvm_rls"), AlgorithmSpec("lms", "lms")),
+        seeds=(0, 1), output_dir=str(tmp_path), emit_traces=False)
     tracer = _tracer()
     try:
         tracer.install()
