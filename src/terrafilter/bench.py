@@ -13,7 +13,7 @@ from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from . import __version__
-from .base import _outcome, check_numbers, describe, is_finite_number
+from .base import Seed, _outcome, check_numbers, describe, is_finite_number
 from .baselines import BootstrapParticleFilter, GvffRls, NormalizedLms, StaticRls
 from .exceptions import ConfigError, InvalidInputError
 from .metrics import (MetricsReport, aggregate_csv, max_error, mse, reports_to_csv,
@@ -56,7 +56,7 @@ class ExperimentConfig:
 
     scenarios: tuple[ScenarioConfig, ...]
     algorithms: tuple[AlgorithmSpec, ...]
-    seeds: tuple[int, ...]
+    seeds: tuple[Seed, ...]
     output_dir: str = "bench_out"
     emit_traces: bool = True
 
@@ -64,10 +64,9 @@ class ExperimentConfig:
         check_numbers(self)
         if not self.scenarios or not self.algorithms or not self.seeds:
             raise ConfigError("config: scenarios, algorithms, and seeds must be non-empty")
-        if len(set(self.seeds)) != len(self.seeds) or min(self.seeds) < 0:
+        if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(
-                "config.seeds: seeds must be distinct and non-negative, "
-                f"got {describe(self.seeds)}")
+                f"config.seeds: seeds must be distinct, got {describe(self.seeds)}")
         for i, scenario in enumerate(self.scenarios):
             if scenario.seed != 0:
                 raise ConfigError(f"config.scenarios[{i}].seed: each cell's trace is "
@@ -296,7 +295,10 @@ def _run_chunk(scenario: ScenarioConfig, seeds, algorithms, out_dir=None):
             results[(scenario.name, spec.name, seed)] = status, report
     if out_dir is not None:
         fig4 = next((a.name for a in algorithms if a.kind == "rvm_rls"), None)
-        shared = {}
+        # synthesis makes these three from the scenario alone, so every
+        # seed of the job has the same ones
+        shared = [format_column(getattr(traces[0], key))
+                  for key in ("times", "terrain", "reference")]
         for seed, trace in zip(seeds, traces):
             _emit_trace_files(out_dir, trace, columns[seed], fig4, shared)
     return results
@@ -410,31 +412,20 @@ def run_experiments(config: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _shared_text(shared, trace, key):
-    """The text of ``trace``'s column ``key``, formatted once per job:
-    ``shared`` maps a key to its last array and text, and an array whose
-    bytes differ from the last one's is formatted again."""
-    column = getattr(trace, key)
-    last = shared.get(key)
-    if last is None or last[0].dtype != column.dtype or last[0].tobytes() != column.tobytes():
-        last = shared[key] = column, format_column(column)
-    return last[1]
-
-
 def _emit_trace_files(out, trace, columns, fig4, shared):
     """One trace's csv plus plot-ready figure files from ``columns``, the
     columns of each of its successful cells by algorithm name: the
     diagnostic columns of the ``fig4`` algorithm's cell (adaptive lambda
     and variance series) when that cell succeeded, overlaid predictions,
-    errors. Each column is formatted once for all the files that write it,
-    and ``times``, ``terrain`` and ``reference`` once per job, through the
-    job's ``shared`` dict (see ``_shared_text``)."""
+    errors. ``shared`` is the text of ``times``, ``terrain`` and
+    ``reference``, which the job formats once; each other column is
+    formatted once for all the files that write it."""
     figs_dir = Path(out) / "figs"
     name = f"{trace.config.name}_{trace.config.seed}.csv"
-    t, H, p = (_shared_text(shared, trace, key) for key in ("times", "terrain", "reference"))
+    t, H, p = shared
     z = format_column(trace.measurement)
     write_columns(Path(out) / "traces" / f"trace_{name}", TRACE_HEADER,
-                  [t, H, p, z, trace.outlier_mask])
+                  [t, H, p, z, format_column(trace.outlier_mask)])
 
     preds = {algorithm: c["prediction"] for algorithm, c in columns.items()}
     pred_text = {algorithm: format_column(c) for algorithm, c in preds.items()}
@@ -443,7 +434,8 @@ def _emit_trace_files(out, trace, columns, fig4, shared):
         k = len(trace) - len(preds[fig4])
         write_columns(figs_dir / f"fig4_{name}", ["t", "z", "p", *diagnostics],
                       [t[k:], z[k:], p[k:],
-                       *{**diagnostics, "prediction": pred_text[fig4]}.values()])
+                       *(pred_text[fig4] if key == "prediction" else format_column(c)
+                         for key, c in diagnostics.items())])
 
     if not columns:
         return
@@ -457,4 +449,5 @@ def _emit_trace_files(out, trace, columns, fig4, shared):
                                            for text in pred_text.values()])
     write_columns(figs_dir / f"fig6_{name}",
                   ["t"] + [f"err_{a}" for a in preds],
-                  [t[k:]] + [c[len(c) - common:] - reference for c in preds.values()])
+                  [t[k:]] + [format_column(c[len(c) - common:] - reference)
+                             for c in preds.values()])

@@ -194,34 +194,22 @@ def synthesize(config: ScenarioConfig) -> ScenarioTrace:
     )
 
 
-def _column_format(column) -> str:
-    """The ``%`` format of one value of ``column``: ``%s`` for a list of
-    formatted text, ``%d`` for an integer or boolean array, else ``%.17g``."""
-    if isinstance(column, list):
-        return "%s"
-    return "%d" if column.dtype.kind in "biu" else "%.17g"
-
-
 def format_column(column: np.ndarray) -> list:
-    """The text ``write_columns`` writes for each value of the 1-D array
-    ``column``, so that a column shared by several files is formatted once."""
-    fmt = _column_format(column)
+    """The text of each value of the 1-D array ``column`` as trace and figure
+    files write it: ``%d`` for an integer or boolean array, else ``%.17g``
+    (full double precision)."""
+    fmt = "%d" if column.dtype.kind in "biu" else "%.17g"
     return [fmt % v for v in column.tolist()]
 
 
 def write_columns(path, header, columns) -> None:
-    """Write equal-length columns as comma-separated text: the header line,
-    then one line per row. A column is a 1-D array, whose integer and
-    boolean values print as integers and the rest at full double precision
-    (``%.17g``), or a list of text from ``format_column``, written as it is."""
-    fmt = ",".join(map(_column_format, columns)) + "\n"
-    values = [c if isinstance(c, list) else c.tolist() for c in columns]
-    if len(set(map(len, values))) > 1:
+    """Write equal-length columns of text, each from ``format_column``, as
+    comma-separated lines: the header, then one line per row."""
+    if len(set(map(len, columns))) > 1:
         raise InvalidInputError(f"columns must be equally long, got lengths "
-                                f"{[len(v) for v in values]}")
+                                f"{[len(c) for c in columns]}")
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(fmt % row for row in zip(*values))
+        fh.write("\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n")
 
 
 def write_trace_csv(trace: ScenarioTrace, path) -> None:
@@ -232,6 +220,5 @@ def write_trace_csv(trace: ScenarioTrace, path) -> None:
     if not isinstance(path, (str, bytes, os.PathLike)):
         raise InvalidInputError(f"path must be a file path (a str, bytes or os.PathLike), "
                                 f"got {type(path).__name__}")
-    write_columns(path, TRACE_HEADER, [trace.times, trace.terrain,
-                                       trace.reference, trace.measurement,
-                                       trace.outlier_mask])
+    write_columns(path, TRACE_HEADER, [format_column(c) for c in (
+        trace.times, trace.terrain, trace.reference, trace.measurement, trace.outlier_mask)])

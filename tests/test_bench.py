@@ -17,6 +17,7 @@ from terrafilter import bench
 from terrafilter.bench import (AlgorithmSpec, ExperimentConfig, config_hash,
                                load_config, run_cell, run_experiments)
 from terrafilter.cli import main
+from terrafilter.scenario import format_column
 from terrafilter.metrics import (aggregate_csv, median_groups, render_tables,
                                  reports_from_csv, reports_to_csv)
 
@@ -212,8 +213,21 @@ def _output_dirs(out):
 
 
 class TestTraceFileText:
-    """A job formats ``times``, ``terrain`` and ``reference`` once and
-    shares that text among its seeds; the files must not show it."""
+    """A job formats ``times``, ``terrain`` and ``reference`` once, from its
+    first trace, and shares that text among its seeds; the files must not
+    show it."""
+
+    @pytest.mark.parametrize("scenario", [
+        *load_config(BENCHMARK_CONFIG).scenarios,
+        ScenarioConfig(name="small", sample_count=300, clean_prefix=100,
+                       terrain=TerrainParams(amplitude=-0.0)),
+    ], ids=lambda scenario: f"{scenario.name}-amplitude={scenario.terrain.amplitude}")
+    def test_seeds_share_times_terrain_and_reference(self, scenario):
+        # synthesis makes these three from the scenario alone
+        first, second = (synthesize(scenario.with_seed(seed)) for seed in (0, 1))
+        for key in ("times", "terrain", "reference"):
+            assert getattr(first, key).tobytes() == getattr(second, key).tobytes()
+        assert first.measurement.tobytes() != second.measurement.tobytes()
 
     def test_one_job_writes_what_one_seed_jobs_write(self, tmp_path):
         scenario = small_config(tmp_path).scenarios[0]
@@ -225,32 +239,30 @@ class TestTraceFileText:
         assert len(_file_bytes(together)) == 3 * 4
         assert _file_bytes(together) == _file_bytes(alone)
 
-    @pytest.mark.parametrize("other", [
-        {"terrain": TerrainParams(amplitude=7.0)}, {"clearance": 25.0},
-        # equal by np.array_equal, but -0.0 prints as -0
-        {"terrain": TerrainParams(amplitude=-0.0)},
-    ], ids=["amplitude", "clearance", "negative-zero-amplitude"])
-    def test_text_of_another_scenario_is_not_reused(self, other, tmp_path):
-        # one name for both scenarios, so that their files are named alike
-        base = dict(name="small", sample_count=300, clean_prefix=100)
-        if "terrain" in other:
-            base["terrain"] = TerrainParams(amplitude=0.0)
-        traces = [synthesize(ScenarioConfig(**base)),
-                  synthesize(ScenarioConfig(**{**base, **other}))]
-        columns = [{spec.name: run_cell(spec, trace)[1] for spec in ALGOS[:2]}
-                   for trace in traces]
-        shared = {}
-        for out, trace, cols in zip(["first", "second"], traces, columns):
-            bench._emit_trace_files(_output_dirs(tmp_path / out), trace, cols, "rvm_rls",
-                                    shared)
-        fresh = _output_dirs(tmp_path / "fresh")
-        bench._emit_trace_files(fresh, traces[1], columns[1], "rvm_rls", {})
-        assert _file_bytes(tmp_path / "second") == _file_bytes(fresh)
-        assert _file_bytes(tmp_path / "second") != _file_bytes(tmp_path / "first")
-        # the trace file is the one write_trace_csv writes
-        write_trace_csv(traces[1], tmp_path / "trace.csv")
-        assert ((tmp_path / "trace.csv").read_bytes()
-                == (fresh / "traces" / "trace_small_0.csv").read_bytes())
+    def test_job_formats_each_trace_length_column_once(self, tmp_path, monkeypatch):
+        scenario = small_config(tmp_path).scenarios[0]
+        lengths = []
+
+        def counting(column):
+            lengths.append(len(column))
+            return format_column(column)
+
+        monkeypatch.setattr(bench, "format_column", counting)
+        bench._run_chunk(scenario, [0, 1, 2], ALGOS, _output_dirs(tmp_path))
+        # times, terrain and reference once, then each seed's z and outlier mask
+        assert lengths.count(scenario.sample_count) == 3 + 3 * 2
+
+    def test_trace_file_is_the_one_write_trace_csv_writes(self, tmp_path):
+        # -0.0 * sin(...) gives -0 and 0, which print apart
+        scenario = ScenarioConfig(name="small", sample_count=300, clean_prefix=100,
+                                  terrain=TerrainParams(amplitude=-0.0))
+        out = _output_dirs(tmp_path / "out")
+        bench._run_chunk(scenario, [0, 1], ALGOS[:2], out)
+        for seed in (0, 1):
+            write_trace_csv(synthesize(scenario.with_seed(seed)), tmp_path / "trace.csv")
+            written = (out / "traces" / f"trace_small_{seed}.csv").read_bytes()
+            assert (tmp_path / "trace.csv").read_bytes() == written
+            assert b",-0," in written and b",0," in written
 
 
 class TestRenderTable:
@@ -358,7 +370,8 @@ REJECTED = {
     "seeds_fractions": (_set("seeds", value=[0.5, 1.9]),
                         ["config: seeds[0] must be an integer"]),
     "seeds_duplicate": (_set("seeds", value=[0, 0]), ["config.seeds", "distinct"]),
-    "seeds_negative": (_set("seeds", value=[-1]), ["config.seeds", "non-negative"]),
+    "seeds_negative": (_set("seeds", value=[0, -1]),
+                       ["config: seeds[1] must lie in [0, inf), got -1"]),
     "seeds_string": (_set("seeds", value="abc"), ["config: seeds must be a tuple, got str"]),
     "clearance_nan_string": (_set("scenarios", 0, "clearance", value="nan"),
                              ["config.scenarios[0]: clearance must be finite"]),

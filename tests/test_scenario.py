@@ -271,37 +271,37 @@ class TestTraceExport:
                 os.close(write_end)
 
 
+class TestFormatColumn:
+    @pytest.mark.parametrize("column, text", [
+        (np.array([0.1, -0.0, 1e300, 2.5]),
+         ["0.10000000000000001", "-0", "1.0000000000000001e+300", "2.5"]),
+        (np.array([3, -7, 0, 2**40]), ["3", "-7", "0", "1099511627776"]),
+        (np.array([True, False, False, True]), ["1", "0", "0", "1"]),
+        # 2**53 + 1 has no float64, so it must not pass through one
+        (np.array([2**53 + 1, 2**62 + 1], dtype=np.int64),
+         ["9007199254740993", "4611686018427387905"]),
+    ], ids=["float", "int", "bool", "int64-above-2**53"])
+    def test_text_of_each_value(self, column, text):
+        assert format_column(column) == text
+
+
 class TestWriteColumns:
-    COLUMNS = {"float": np.array([0.1, -0.0, 1e300, 2.5]),
-               "int": np.array([3, -7, 0, 2**40]),
-               "bool": np.array([True, False, False, True])}
-
-    @pytest.mark.parametrize("kind", list(COLUMNS))
-    def test_text_column_writes_the_bytes_of_its_array(self, kind, tmp_path):
-        arrays = list(self.COLUMNS.values())
-        write_columns(tmp_path / "arrays.csv", list(self.COLUMNS), arrays)
-        mixed = [format_column(c) if key == kind else c for key, c in self.COLUMNS.items()]
-        write_columns(tmp_path / "mixed.csv", list(self.COLUMNS), mixed)
-        text = (tmp_path / "arrays.csv").read_bytes()
-        assert text == (tmp_path / "mixed.csv").read_bytes()
-        assert text.split(b"\n")[:3] == [b"float,int,bool", b"0.10000000000000001,3,1",
-                                          b"-0,-7,0"]
-
-    def test_boolean_column_prints_0_and_1(self, tmp_path):
-        write_columns(tmp_path / "x.csv", ["b"], [np.array([True, False, True])])
-        assert (tmp_path / "x.csv").read_text() == "b\n1\n0\n1\n"
-        assert format_column(np.array([False, True])) == ["0", "1"]
+    def test_rows_join_the_text_of_each_column(self, tmp_path):
+        columns = [np.array([0.1, -0.0]), np.array([3, -7]), np.array([True, False])]
+        write_columns(tmp_path / "x.csv", ["float", "int", "bool"],
+                      [format_column(c) for c in columns])
+        assert (tmp_path / "x.csv").read_bytes() == (
+            b"float,int,bool\n0.10000000000000001,3,1\n-0,-7,0\n")
 
     def test_large_integer_beside_a_float_prints_exactly(self, tmp_path):
-        # 2**53 + 1 has no float64; stacking it with a float column used
-        # to round it to 2**53
         big = np.array([2**53 + 1, 2**62 + 1], dtype=np.int64)
-        write_columns(tmp_path / "x.csv", ["n", "x"], [big, np.array([0.5, 1.5])])
+        write_columns(tmp_path / "x.csv", ["n", "x"],
+                      [format_column(big), format_column(np.array([0.5, 1.5]))])
         assert (tmp_path / "x.csv").read_text() == (
             f"n,x\n{2**53 + 1},0.5\n{2**62 + 1},1.5\n")
 
     def test_columns_of_unequal_length_rejected_before_the_file_is_opened(self, tmp_path):
         with pytest.raises(InvalidInputError, match=re.escape("got lengths [2, 1]")):
             write_columns(tmp_path / "x.csv", ["a", "b"],
-                          [np.array([1.0, 2.0]), format_column(np.array([1.0]))])
+                          [format_column(np.array([1.0, 2.0])), format_column(np.array([1.0]))])
         assert not (tmp_path / "x.csv").exists()
