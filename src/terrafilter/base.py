@@ -144,8 +144,8 @@ class StreamingFilter:
     Lifecycle: construct with hyperparameters, ``fit`` on an initialization
     window of (time, measurement) samples, then ``step`` one sample at a
     time. ``run`` drives fit-then-step over a full trace and returns one
-    prediction per post-window sample. Each prediction is made before the
-    corresponding measurement is absorbed.
+    prediction per post-window sample. Each is made before its measurement
+    is absorbed, but the particle filter's is weighted by it (a posterior mean).
 
     Each filter is a ``@dataclass(eq=False)`` whose fields, in constructor
     order, are its hyperparameters: its ``repr`` shows them, and it compares
@@ -290,11 +290,11 @@ class StreamingFilter:
     # return.
     _LOCKSTEP_STATE = ("theta_",)
     _LOCKSTEP_COLUMNS = (("prediction", float),)
-    # ``_lockstep_step(s, j)`` is one ``step`` of every row of the state
-    # ``s``, on sample ``init_window + j``: it writes every row's new state
-    # into ``s`` and returns the step's columns; a guard only marks its rows
-    # in ``s.failed``. A class without one runs each trace through
-    # ``run_detailed``.
+    # ``_lockstep_step(s, phi, residual)`` ends one ``step`` of every row of
+    # the state ``s`` from the regressors and residuals ``_lockstep`` formed:
+    # it writes every row's new state into ``s`` and returns the columns
+    # after ``prediction``; a guard only marks its rows in ``s.failed``. A
+    # class without one runs each trace through ``run_detailed``.
     _lockstep_step = None
 
     def _copy(self):
@@ -336,7 +336,9 @@ class StreamingFilter:
         stacked; the irregular ones are marked from the start. A trace is
         regular when every post-window sample passes the ``step`` checks its
         ``fit`` has not made: a finite measurement, a time above the one
-        before and a finite scaled time. A marked row stays in the batch."""
+        before and a finite scaled time. These checks and the mark of a
+        non-finite residual stand in for ``_predict``'s. A marked row stays
+        in the batch."""
         n0 = self.init_window
         outcomes = [None] * len(traces)
         rows = []
@@ -351,22 +353,27 @@ class StreamingFilter:
         length = len(rows[0][2])
         rows = [row for row in rows if len(row[2]) == length]
         times = np.array([row[2][n0 - 1:] for row in rows])
-        s = _Rows()
-        s.measurements = np.array([row[3][n0:] for row in rows])
+        measurements = np.array([row[3][n0:] for row in rows])
         tau = times[:, 1:] / self.scale_divisor
-        s.failed = ~(np.isfinite(s.measurements).all(axis=1)
+        s = _Rows()
+        s.failed = ~(np.isfinite(measurements).all(axis=1)
                      & (times[:, 1:] > times[:, :-1]).all(axis=1)
                      & np.isfinite(tau).all(axis=1))
         self._stack_state(s, [row[1] for row in rows])
         # every step's regressor at once, as batch_least_squares builds a
         # window's (vander's running product is poly_basis's multiplications)
-        s.phi = np.vander(tau.ravel(), self.degree + 1, increasing=True).reshape(
+        regressors = np.vander(tau.ravel(), self.degree + 1, increasing=True).reshape(
             *tau.shape, self.degree + 1)
-        width = s.measurements.shape[1]
+        width = measurements.shape[1]
         columns = [np.zeros((len(rows), width), dtype=dtype)
                    for _, dtype in self._LOCKSTEP_COLUMNS]
         for j in range(width):
-            for column, values in zip(columns, self._lockstep_step(s, j)):
+            phi = regressors[:, j]
+            prediction = np.matmul(phi[:, None, :], s.theta_[:, :, None])[:, 0, 0]
+            residual = measurements[:, j] - prediction
+            s.mark_nonfinite(residual)
+            columns[0][:, j] = prediction
+            for column, values in zip(columns[1:], self._lockstep_step(s, phi, residual)):
                 column[:, j] = values
         names = [name for name, _ in self._LOCKSTEP_COLUMNS]
         for (k, *_), failed, *values in zip(rows, s.failed, *columns):
@@ -377,17 +384,6 @@ class StreamingFilter:
     def _stack_state(self, s, filters):
         for name in self._LOCKSTEP_STATE:
             setattr(s, name, np.array([getattr(f, name) for f in filters]))
-
-    def _predict_rows(self, s, j):
-        """``_predict`` of step ``j`` for every row: returns ``(phi,
-        prediction, residual)``. An irregular row is marked already, and the
-        other rows' inputs passed their checks before the loop, so a row is
-        marked here only for a non-finite residual."""
-        phi = s.phi[:, j]
-        prediction = np.matmul(phi[:, None, :], s.theta_[:, :, None])[:, 0, 0]
-        residual = s.measurements[:, j] - prediction
-        s.mark_nonfinite(residual)
-        return phi, prediction, residual
 
 
 def _f_ordered(stack):

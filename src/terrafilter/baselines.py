@@ -48,12 +48,11 @@ class NormalizedLms(StreamingFilter):
         self.step_index_ += 1
         return prediction
 
-    def _lockstep_step(self, s, j):
-        phi, prediction, residual = self._predict_rows(s, j)
+    def _lockstep_step(self, s, phi, residual):
         norm = np.matmul(phi[:, None, :], phi[:, :, None])[:, 0, 0]
         s.theta_ = (s.theta_
                     + (self.mu * residual)[:, None] * phi / (self.eps + norm)[:, None])
-        return (prediction,)
+        return ()
 
 
 @dataclass(eq=False)
@@ -77,10 +76,9 @@ class StaticRls(ForgettingFactorCore):
         self._absorb(phi, self.forgetting, y - prediction)
         return prediction
 
-    def _lockstep_step(self, s, j):
-        phi, prediction, residual = self._predict_rows(s, j)
-        self._absorb_rows(s, phi, np.full(len(prediction), float(self.forgetting)), residual)
-        return (prediction,)
+    def _lockstep_step(self, s, phi, residual):
+        self._absorb_rows(s, phi, np.full(len(residual), float(self.forgetting)), residual)
+        return ()
 
 
 @dataclass(eq=False)
@@ -155,8 +153,7 @@ class GvffRls(ForgettingFactorCore):
 
     _LOCKSTEP_STATE = ForgettingFactorCore._LOCKSTEP_STATE + ("lambda_", "S_", "psi_")
 
-    def _lockstep_step(self, s, j):
-        phi, prediction, e = self._predict_rows(s, j)
+    def _lockstep_step(self, s, phi, e):
         phi_psi = np.matmul(phi[:, None, :], s.psi_[:, :, None])[:, 0, 0]
         s.lambda_ = np.minimum(np.maximum(s.lambda_ + self.alpha * e * phi_psi,
                                           self.lambda_min), self.lambda_max)
@@ -170,7 +167,7 @@ class GvffRls(ForgettingFactorCore):
         s.psi_ = (s.psi_ - gain * phi_psi[:, None]
                   + np.matmul(s.S_, phi[:, :, None])[:, :, 0] * e[:, None])
         s.mark_nonfinite(s.psi_)
-        return (prediction,)
+        return ()
 
 
 @dataclass(eq=False)

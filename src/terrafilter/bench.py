@@ -71,6 +71,10 @@ class ExperimentConfig:
             if scenario.seed != 0:
                 raise ConfigError(f"config.scenarios[{i}].seed: each cell's trace is "
                                   "synthesized with its seed from config.seeds")
+            if scenario.noise_variance == 0:  # a ScenarioConfig alone may be noise-free
+                raise ConfigError(f"config.scenarios[{i}].noise_variance: each cell's variance "
+                                  "ratio divides by it, so a run needs it positive, "
+                                  f"got {describe(scenario.noise_variance)}")
         for key in ("scenarios", "algorithms"):
             names = [item.name for item in getattr(self, key)]
             if len(set(names)) != len(names) or not all(map(_NAME_RE.fullmatch, names)):

@@ -170,7 +170,9 @@ def render_tables(reports) -> str:
     for scenario_id, groups in itertools.groupby(median_groups(reports),
                                                  key=lambda group: group[0]):
         groups = list(groups)
-        best = {name: min(medians[name] for *_, medians in groups)
+        # a NaN (a failed timing run's sr_ms) takes no part in the minimum
+        best = {name: min((medians[name] for *_, medians in groups
+                           if not math.isnan(medians[name])), default=math.nan)
                 for name in METRIC_COLUMNS}
         header = ["Algorithm", *(heading for heading, _ in METRIC_COLUMNS.values())]
         rows = [[algorithm] + [

@@ -177,8 +177,7 @@ class RvmRls(ForgettingFactorCore):
     # the state a gated row keeps
     _GATED_STATE = operator.attrgetter("theta_", "L_", "f_order", "lambda_", "sigma2_hat_")
 
-    def _lockstep_step(self, s, j):
-        phi, prediction, residual = self._predict_rows(s, j)
+    def _lockstep_step(self, s, phi, residual):
         rejected = np.abs(residual) > s.gate_
         before = self._GATED_STATE(s)
         # a non-finite input or variance estimate always leaves a non-finite
@@ -193,4 +192,4 @@ class RvmRls(ForgettingFactorCore):
             # a gated row's update is dropped: it keeps its state
             for new, old in zip(self._GATED_STATE(s), before):
                 new[rejected] = old[rejected]
-        return prediction, residual, rejected, s.lambda_, s.sigma2_hat_
+        return residual, rejected, s.lambda_, s.sigma2_hat_

@@ -317,8 +317,7 @@ class TestRenderTable:
 
     def test_nan_timing_is_never_best(self):
         # a failed timing run leaves sr_ms NaN: it prints as nan, and the
-        # column's minimum is taken over the rows before it or, when it
-        # comes first, flags no row
+        # column's minimum is taken over the other rows, wherever it comes
         nan = float("nan")
         reports = [MetricsReport("a", nan, 1.0, 1.0, 1.0, "s", 0),
                    MetricsReport("b", 0.5, 2.0, 2.0, 2.0, "s", 0),
@@ -329,7 +328,7 @@ class TestRenderTable:
             "Algorithm  SR (ms)  MSE     VR      ME    \n"
             "---------  -------  ------  ------  ------\n"
             "a          nan      1.000*  1.000*  1.000*\n"
-            "b          0.500    2.000   2.000   2.000 \n"
+            "b          0.500*   2.000   2.000   2.000 \n"
             "\n"
             "scenario: t\n"
             "Algorithm  SR (ms)  MSE     VR      ME    \n"
@@ -411,6 +410,10 @@ REJECTED = {
     # outlier amplitudes are multiples of the noise standard deviation
     "noise_free_with_outliers": (_set("scenarios", 0, "noise_variance", value=0.0),
                                  ["config.scenarios[0]", "noise_variance"]),
+    # a run's variance ratio divides by the noise variance
+    "noise_free": (_set("scenarios", 1, "noise_variance", value=0.0),
+                   ["config.scenarios[1].noise_variance: each cell's variance ratio "
+                    "divides by it, so a run needs it positive, got 0.0"]),
     # an integer beyond the float range is no finite number
     "clearance_400_digits": (_set("scenarios", 0, "clearance", value=10**400),
                              ["config.scenarios[0]: clearance must be finite"]),

@@ -18,7 +18,7 @@ from terrafilter import (BootstrapParticleFilter, GvffRls, InvalidInputError, No
                          NumericalDivergenceError, RvmRls, ScenarioConfig,
                          StaticRls, TerraFilterError, synthesize)
 from terrafilter.base import StreamingFilter
-from terrafilter.bench import load_config
+from terrafilter.bench import build_filter, load_config
 
 from goldens import BENCHMARK_CONFIG
 
@@ -325,6 +325,24 @@ def test_marked_gated_row_that_step_survives_gets_runs_columns(scenario_traces,
         _assert_same(RvmRls(target_noise_variance=variance).run(t, y), row)
         _assert_same_columns(RvmRls(target_noise_variance=variance).run_detailed(t, y),
                              columns)
+
+
+def test_pool_cells_need_no_rerun(monkeypatch):
+    # the lockstep serves every cell of the pool matrix itself: a stray
+    # mark would re-run its row through run_detailed, which costs time
+    # while every output byte stays the same
+    config = load_config(BENCHMARK_CONFIG.parent / "pool.json")
+    reruns = []
+    run_detailed = StreamingFilter.run_detailed
+    monkeypatch.setattr(StreamingFilter, "run_detailed", lambda self, *trace: (
+        reruns.append(trace) or run_detailed(self, *trace)))
+    for scenario in config.scenarios:
+        traces = [synthesize(scenario.with_seed(seed)) for seed in config.seeds]
+        for spec in config.algorithms:
+            outcomes = build_filter(spec, traces[0].config).run_lockstep_detailed(
+                [t.times for t in traces], [t.measurement for t in traces])
+            assert all(isinstance(out, dict) for out in outcomes), (scenario.name, spec.name)
+    assert not reruns
 
 
 @pytest.mark.parametrize("case", ["rvm_rls", "rls_residual", "gvff_rls_residual"])

@@ -138,9 +138,8 @@ class TestStep:
         s = _Rows()
         s.failed = np.zeros(2, dtype=bool)
         filters[0]._stack_state(s, filters[:2])
-        s.measurements = np.full((2, 1), 50.0)
-        s.phi = np.tile(poly_basis(30.0 / 100.0, 4), (2, 1, 1))
-        _, _, rejected, *_ = filters[0]._lockstep_step(s, 0)
+        phi = np.tile(poly_basis(30.0 / 100.0, 4), (2, 1))
+        _, rejected, *_ = filters[0]._lockstep_step(s, phi, 50.0 - phi @ filters[0].theta_)
         assert rejected.tolist() == [True, True]
         assert filters[2].step_detailed(30.0, 50.0).rejected
         filters[2].fit(*_cubic_window())
